@@ -3,11 +3,10 @@
 //! A campaign drives the [`DifferentialCircuit`] over a list of depths and produces a
 //! [`Sigma2NDataset`] — the software counterpart of letting the paper's FPGA measurement
 //! run over night.  Counter-mode campaigns evaluate every depth independently (and in
-//! parallel with rayon); period-domain campaigns reuse a single long record.
+//! parallel on scoped threads); period-domain campaigns reuse a single long record.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use ptrng_stats::seed::derive_seed;
@@ -117,25 +116,31 @@ impl MeasurementCampaign {
                     .measure_period_domain(&mut rng, &self.config.depths, record_len)
             }
             Estimator::CounterCircuit { windows } => {
-                let runs: Vec<Result<DatasetPoint>> = self
-                    .config
-                    .depths
-                    .par_iter()
-                    .map(|&n| {
-                        let mut rng =
-                            StdRng::seed_from_u64(derive_seed(self.config.seed, n as u64));
-                        let run = self.circuit.measure_counters(&mut rng, n, windows)?;
-                        Ok(DatasetPoint {
-                            n,
-                            sigma2_n: run.sigma2_n,
-                            samples: run.sn.len(),
-                        })
+                let measure = |n: usize| -> Result<DatasetPoint> {
+                    let mut rng = StdRng::seed_from_u64(derive_seed(self.config.seed, n as u64));
+                    let run = self.circuit.measure_counters(&mut rng, n, windows)?;
+                    Ok(DatasetPoint {
+                        n,
+                        sigma2_n: run.sigma2_n,
+                        samples: run.sn.len(),
                     })
-                    .collect();
-                let mut points = Vec::with_capacity(runs.len());
-                for r in runs {
-                    points.push(r?);
-                }
+                };
+                // Each depth has its own derived seed, so splitting the depths into
+                // one contiguous run per core reproduces the serial sweep, in order.
+                let depths = &self.config.depths;
+                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                let points = std::thread::scope(|scope| {
+                    let workers: Vec<_> = depths
+                        .chunks(depths.len().div_ceil(cores).max(1))
+                        .map(|run| {
+                            scope.spawn(move || run.iter().map(|&n| measure(n)).collect::<Vec<_>>())
+                        })
+                        .collect();
+                    workers
+                        .into_iter()
+                        .flat_map(|worker| worker.join().expect("campaign worker panicked"))
+                        .collect::<Result<Vec<_>>>()
+                })?;
                 Sigma2NDataset::new(
                     self.circuit.target().model().frequency(),
                     "counter-circuit",

@@ -19,7 +19,9 @@ pub(crate) enum ConnState {
     Idle,
 }
 
-/// Which tier a streaming response body draws from.
+/// The product tier a draw endpoint serves and its streaming body draws from;
+/// the tier's head, token bucket and draw live with the handler in
+/// [`crate::server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StreamTier {
     /// `/entropy` — blocking [`ptrng_engine::tap::EntropyTap`] draws.

@@ -230,17 +230,22 @@ fn closed_loop(config: &LoadgenConfig) -> LoadReport {
                 counters.errors.fetch_add(1, Ordering::Relaxed);
                 return;
             };
-            let Ok(read_half) = stream.try_clone() else {
-                counters.errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            };
-            let mut writer = stream;
-            let mut reader = BufReader::new(read_half);
+            let mut conn = Some(BufReader::new(stream));
+            // The server closes a connection once its keep-alive budget is
+            // spent (`Connection: close`): reconnect for the next request.
+            let reconnect = || connect_with_retry(&target).ok().map(BufReader::new);
             for _ in 0..requests {
-                let start = Instant::now();
-                if let Err(()) = one_request(&mut writer, &mut reader, &path, &counters) {
+                let Some(open) = conn.take().or_else(reconnect) else {
                     counters.errors.fetch_add(1, Ordering::Relaxed);
                     return;
+                };
+                let start = Instant::now();
+                match one_request(open, &path, &counters) {
+                    Ok(kept) => conn = kept,
+                    Err(()) => {
+                        counters.errors.fetch_add(1, Ordering::Relaxed);
+                        return;
+                    }
                 }
                 histogram.record(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
             }
@@ -282,13 +287,10 @@ fn open_loop(config: &LoadgenConfig, rate_per_sec: f64, duration: Duration) -> L
                 .map_err(|_| ())
                 .and_then(|stream| {
                     counters.connected.fetch_add(1, Ordering::Relaxed);
-                    let read_half = stream.try_clone().map_err(|_| ())?;
-                    let mut writer = stream;
-                    let mut reader = BufReader::new(read_half);
-                    one_request(&mut writer, &mut reader, &path, &counters)
+                    one_request(BufReader::new(stream), &path, &counters)
                 });
             match outcome {
-                Ok(()) => histogram
+                Ok(_) => histogram
                     .record(scheduled.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64),
                 Err(()) => {
                     counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -335,13 +337,13 @@ fn report(
     }
 }
 
-/// Sends one `GET` and consumes the full response; counts it on success.
+/// Sends one `GET` on `conn` and consumes the full response; counts it on
+/// success and hands the connection back unless the server closes it.
 fn one_request(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
+    mut conn: BufReader<TcpStream>,
     path: &str,
     counters: &Counters,
-) -> std::result::Result<(), ()> {
+) -> std::result::Result<Option<BufReader<TcpStream>>, ()> {
     // One write_all, not write!: the fmt machinery issues a syscall per
     // fragment, and a server that answers-and-closes without reading (the
     // accept-refusal path) RSTs the remainder mid-request.
@@ -349,15 +351,16 @@ fn one_request(
     // The write outcome is ignored: even when it fails, a refusal (503/429 at
     // accept) may already sit in the receive buffer, and whether the exchange
     // counts is decided by the response read either way.
-    let _ = writer.write_all(request.as_bytes());
-    let (status, body_bytes) = read_response(reader).map_err(|_| ())?;
+    let _ = conn.get_mut().write_all(request.as_bytes());
+    let (status, body_bytes, close) = read_response(&mut conn).map_err(|_| ())?;
     counters.count_response(status, body_bytes);
-    Ok(())
+    Ok((!close).then_some(conn))
 }
 
 /// Reads one HTTP/1.1 response (head + `Content-Length` or chunked body),
-/// returning the status and the body byte count.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64)> {
+/// returning the status, the body byte count, and whether the server closes
+/// the connection after it (`Connection: close`).
+fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64, bool)> {
     let bad =
         |detail: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, detail.to_string());
     let mut line = String::new();
@@ -374,6 +377,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64
         .ok_or_else(|| bad("malformed status line"))?;
     let mut content_length: Option<u64> = None;
     let mut chunked = false;
+    let mut close = false;
     loop {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
@@ -394,6 +398,8 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64
                 && value.eq_ignore_ascii_case("chunked")
             {
                 chunked = true;
+            } else if name.eq_ignore_ascii_case("connection") {
+                close = value.eq_ignore_ascii_case("close");
             }
         }
     }
@@ -415,7 +421,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64
         skip_exact(reader, length as usize)?;
         body = length;
     }
-    Ok((status, body))
+    Ok((status, body, close))
 }
 
 fn skip_exact(reader: &mut impl Read, mut n: usize) -> std::io::Result<()> {
@@ -446,7 +452,7 @@ mod tests {
         addr
     }
 
-    fn read_from(addr: std::net::SocketAddr, path: &str) -> (u16, u64) {
+    fn read_from(addr: std::net::SocketAddr, path: &str) -> (u16, u64, bool) {
         let stream = TcpStream::connect(addr).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -461,7 +467,15 @@ mod tests {
     #[test]
     fn content_length_responses_are_consumed() {
         let addr = serve_canned(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
-        assert_eq!(read_from(addr, "/x"), (200, 5));
+        assert_eq!(read_from(addr, "/x"), (200, 5, false));
+        let addr = serve_canned(
+            b"HTTP/1.1 503 Service Unavailable\r\nConnection: close\r\nContent-Length: 2\r\n\r\nno",
+        );
+        assert_eq!(
+            read_from(addr, "/x"),
+            (503, 2, true),
+            "the close is reported"
+        );
     }
 
     #[test]
@@ -469,7 +483,7 @@ mod tests {
         let addr = serve_canned(
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n2\r\nef\r\n0\r\n\r\n",
         );
-        assert_eq!(read_from(addr, "/x"), (200, 6));
+        assert_eq!(read_from(addr, "/x"), (200, 6, false));
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl ServerMetrics {
             .or_insert(0) += 1;
     }
 
-    /// Counts entropy body bytes handed to clients.
+    /// Counts `/entropy` (full-entropy tier) body bytes handed to clients.
     pub fn record_bytes_served(&self, bytes: u64) {
         self.bytes_served.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -64,7 +64,7 @@ impl ServerMetrics {
         }
     }
 
-    /// Total entropy body bytes served so far.
+    /// Total `/entropy` body bytes served so far.
     pub fn bytes_served(&self) -> u64 {
         self.bytes_served.load(Ordering::Relaxed)
     }
@@ -292,7 +292,8 @@ pub fn render_prometheus_into(
     );
     enc.scalar(
         "ptrng_http_entropy_bytes_served_total",
-        "Entropy body bytes handed to clients.",
+        "/entropy (full-entropy tier) body bytes handed to clients; /random bytes are \
+         ptrng_drbg_bytes_total.",
         MetricKind::Counter,
         server.bytes_served(),
     );

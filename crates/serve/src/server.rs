@@ -36,8 +36,8 @@
 //! * **Entropy policy is the contract** — the accounted ledger travels in the
 //!   `X-PTRNG-MinEntropy` / `X-PTRNG-Ledger` response headers; a configuration whose
 //!   accounted entropy misses `min_output_entropy` starts in *refusing* mode and
-//!   answers `/entropy` with HTTP 503 and the ledger JSON as the body, exactly the
-//!   refusal `ptrngd` expresses with exit code 2.
+//!   answers `/entropy`, `/random` and `/selftest` with HTTP 503 and the ledger
+//!   JSON as the body, exactly the refusal `ptrngd` expresses with exit code 2.
 //! * **Graceful shutdown** — SIGTERM (or [`ShutdownHandle::shutdown`]) stops the
 //!   accept loop and closes idle connections; in-flight responses complete, worker
 //!   threads are joined, and the engine is drained deterministically.
@@ -64,7 +64,6 @@ use ptrng_obs::{
     Event, EventKind, FlightRecorder, Journal, LogLinearHistogram, MetricKind, ObsClock,
     Postmortem, Probe, TextEncoder, DEFAULT_TIME_BOUNDS_NS,
 };
-use ptrng_trng::conditioning::EntropyLedger;
 use serde::{Serialize, Value};
 
 use crate::conn::{ConnState, Connection, ReadOutcome, StreamBody, StreamTier, READ_BURST_BYTES};
@@ -195,10 +194,11 @@ impl ServeConfig {
 enum Supply {
     /// The engine spawned and its accounted entropy satisfies the policy.
     Serving(EntropyTap),
-    /// The engine refused to spawn with [`EngineError::EntropyDeficit`]; `/entropy`
-    /// answers 503 with this accounting.
+    /// The engine refused to spawn with an [`EngineError::EntropyDeficit`]: the
+    /// draw endpoints and `/selftest` answer its canonical [`refusal`], while
+    /// `/healthz` and `/metrics` report its accounted and required min-entropy.
     Refusing {
-        ledger: EntropyLedger,
+        deficit: EngineError,
         accounted: f64,
         required: f64,
     },
@@ -294,9 +294,10 @@ impl Server {
     /// Spawns the engine and binds the listener.
     ///
     /// An [`EngineError::EntropyDeficit`] at spawn does **not** fail the bind: the
-    /// server starts in *refusing* mode, answering `/entropy` with HTTP 503 and the
-    /// accounted ledger, and `/healthz` with `"refusing"` — an operator can then
-    /// inspect the accounting over the wire instead of a dead port.
+    /// server starts in *refusing* mode, answering the draw endpoints with HTTP
+    /// 503 and the accounted ledger, and `/healthz` with `"refusing"` — an
+    /// operator can then inspect the accounting over the wire instead of a dead
+    /// port.
     ///
     /// # Errors
     ///
@@ -308,13 +309,14 @@ impl Server {
         let supply = match Engine::spawn_with_journal(config.engine.clone(), config.journal.clone())
         {
             Ok(engine) => Supply::Serving(engine.into_tap()),
-            Err(EngineError::EntropyDeficit {
-                ledger,
-                accounted,
-                required,
-                ..
-            }) => Supply::Refusing {
-                ledger: *ledger,
+            Err(
+                deficit @ EngineError::EntropyDeficit {
+                    accounted,
+                    required,
+                    ..
+                },
+            ) => Supply::Refusing {
+                deficit,
                 accounted,
                 required,
             },
@@ -570,60 +572,49 @@ fn worker_loop(
 ///
 /// Bounding the per-job budget keeps large draws fair: a 4 MiB `/entropy`
 /// response is sixteen pump jobs interleaved with everyone else's work, not one
-/// worker pinned for the stream's lifetime.
+/// worker pinned for the stream's lifetime.  The 200 head is already out, so a
+/// failed draw aborts: the loop flushes what was framed and closes without the
+/// terminating chunk, and the client observes a truncated transfer, never
+/// short bytes.
 fn pump(state: &SharedState, conn: u64, body: StreamBody) -> WorkDone {
-    let budget = (4 * state.chunk_bytes as u64).min(body.remaining);
-    let mut scratch = vec![0u8; state.chunk_bytes.min(budget as usize)];
-    let mut out = Vec::with_capacity(budget as usize + 64);
-    let mut remaining = body.remaining;
-    let mut pumped = 0u64;
-    let mut abort = false;
-    while pumped < budget && remaining > 0 {
-        let want = (scratch.len() as u64).min(budget - pumped).min(remaining) as usize;
-        let drawn = match body.tier {
-            StreamTier::Entropy => {
-                let Supply::Serving(tap) = &state.supply else {
-                    abort = true;
-                    break;
-                };
-                let drawn = tap.draw(&mut scratch[..want]);
-                if drawn == 0 {
-                    // Every shard terminated (alarms).
-                    abort = true;
-                    break;
-                }
-                drawn
-            }
-            StreamTier::Random => {
-                let Some(expanded) = &state.expanded else {
-                    abort = true;
-                    break;
-                };
-                if expanded.draw(&mut scratch[..want]).is_err() {
-                    // A reseed came due mid-stream and could not be funded.
-                    abort = true;
-                    break;
-                }
-                want
-            }
-        };
-        encode_chunk(&mut out, &scratch[..drawn]);
-        state.metrics.record_bytes_served(drawn as u64);
-        pumped += drawn as u64;
-        remaining -= drawn as u64;
-    }
-    if remaining == 0 && !abort {
-        encode_chunk_end(&mut out);
-    }
-    let stream = (remaining > 0 && !abort).then_some(StreamBody { remaining, ..body });
+    let budget = 4 * state.chunk_bytes as u64;
+    let mut out = Vec::with_capacity(budget.min(body.remaining) as usize + 64);
+    let framed = frame(state, body, budget, &mut out);
     WorkDone {
         conn,
         bytes: out,
-        stream,
+        abort: framed.is_err(),
+        stream: framed.ok().flatten(),
         keep_alive: false,
         status: 0,
-        abort,
     }
+}
+
+/// Draws and frames up to `budget` bytes of `body` onto `out`, one
+/// `chunk_bytes` chunk per draw, and appends the terminating chunk once the
+/// body is complete.  Returns the remainder still to stream; on a failed draw,
+/// `out` keeps the chunks framed before it.
+fn frame(
+    state: &SharedState,
+    body: StreamBody,
+    budget: u64,
+    out: &mut Vec<u8>,
+) -> std::result::Result<Option<StreamBody>, EngineError> {
+    let budget = budget.min(body.remaining);
+    let mut scratch = vec![0u8; state.chunk_bytes.min(budget as usize)];
+    let mut framed = 0u64;
+    while framed < budget {
+        let want = (scratch.len() as u64).min(budget - framed) as usize;
+        body.tier.draw(state, &mut scratch[..want])?;
+        encode_chunk(out, &scratch[..want]);
+        framed += want as u64;
+    }
+    let remaining = body.remaining - framed;
+    if remaining == 0 {
+        encode_chunk_end(out);
+        return Ok(None);
+    }
+    Ok(Some(StreamBody { remaining, ..body }))
 }
 
 /// The poll(2) event loop: owns the listener, every accepted [`Connection`], and
@@ -1015,8 +1006,22 @@ fn route(state: &SharedState, request: &Request, peer_ip: IpAddr, keep_alive: bo
         return json_routed(state, 405, &body, keep_alive, false);
     }
     match request.path.as_str() {
-        "/entropy" => entropy(state, request, peer_ip, keep_alive, head_only),
-        "/random" => random(state, request, peer_ip, keep_alive, head_only),
+        "/entropy" => draw(
+            state,
+            StreamTier::Entropy,
+            request,
+            peer_ip,
+            keep_alive,
+            head_only,
+        ),
+        "/random" => draw(
+            state,
+            StreamTier::Random,
+            request,
+            peer_ip,
+            keep_alive,
+            head_only,
+        ),
         "/healthz" => healthz(state, keep_alive, head_only),
         "/metrics" => metrics(state, keep_alive, head_only),
         "/selftest" => selftest(state, request, peer_ip, keep_alive, head_only),
@@ -1098,14 +1103,16 @@ const SELFTEST_MAX_BITS: usize = 1 << 20;
 /// compares the assessment against the ledger claim (or an asserted `claim`).
 ///
 /// Answers 200 with the audit report when the claim holds, 503 with the same body
-/// on an overclaim (and in refusing mode, mirroring `/entropy`).  Note the drawn
-/// window **consumes** real entropy output — the self-test competes with clients by
-/// design, since auditing a stream other than the served one would prove nothing —
-/// and is therefore charged against the caller's rate-limit budget like any other
-/// entropy draw (the battery is also CPU-bound, so an unmetered loop would starve
-/// both the entropy supply and the worker pool).  `HEAD` is the exception: it
-/// answers the contract headers before the limiter and draws **nothing**, exactly
-/// like `HEAD /entropy` — a probe must spend neither budget nor entropy.
+/// on an overclaim, and the canonical [`refusal`] in refusing mode or when the
+/// stream ends before the window fills, exactly like the draw endpoints.  Note
+/// the drawn window **consumes** real entropy output — the self-test competes
+/// with clients by design, since auditing a stream other than the served one
+/// would prove nothing — and is therefore charged against the caller's
+/// rate-limit budget like any other entropy draw (the battery is also
+/// CPU-bound, so an unmetered loop would starve both the entropy supply and the
+/// worker pool).  `HEAD` is the exception: it answers the contract headers
+/// before the limiter and draws **nothing**, exactly like `HEAD /entropy` — a
+/// probe must spend neither budget nor entropy.
 fn selftest(
     state: &SharedState,
     request: &Request,
@@ -1115,14 +1122,7 @@ fn selftest(
 ) -> Routed {
     let tap = match &state.supply {
         Supply::Serving(tap) => tap,
-        Supply::Refusing {
-            ledger,
-            accounted,
-            required,
-        } => {
-            let body = deficit_body(ledger, *accounted, *required);
-            return json_routed(state, 503, &body, keep_alive, head_only);
-        }
+        Supply::Refusing { deficit, .. } => return refusal(state, deficit, keep_alive, head_only),
     };
     let parse_f64 = |name: &str| -> std::result::Result<Option<f64>, String> {
         match request.query_param(name).map(str::parse::<f64>) {
@@ -1182,12 +1182,8 @@ fn selftest(
         }
     }
     let mut window = vec![0u8; bits.div_ceil(8)];
-    if tap.draw(&mut window) < window.len() {
-        let body = error_body(
-            "selftest unavailable",
-            "the entropy stream ended before one audit window filled",
-        );
-        return json_routed(state, 503, &body, keep_alive, false);
+    if let Err(error) = fill(tap, &mut window) {
+        return refusal(state, &error, keep_alive, false);
     }
     let fed = audit.observe_bytes(&window).map(|_| ());
     let outcome = match fed {
@@ -1219,246 +1215,198 @@ fn selftest(
     json_routed(state, status, &body, keep_alive, false)
 }
 
-/// Parses and bounds the `bytes` query parameter shared by the two entropy
-/// tiers; `Err` carries the already-rendered refusal.
-fn parse_bytes_param(
+/// The product tier behind a draw endpoint.  Everything that differs between
+/// `/entropy` and `/random` is answered here — the head that labels the bytes,
+/// the token bucket that meters them, and where they are drawn from — so one
+/// handler ([`draw`]) and one [`pump`] serve both.
+impl StreamTier {
+    /// The `200` head, or `None` when the tier is disabled (`/random` without
+    /// `--drbg`).
+    ///
+    /// `X-PTRNG-MinEntropy` carries the *currently accounted* claim — for a pool
+    /// with a quarantined child this is the honestly reduced survivors-only
+    /// credit, not the spawn-time figure.  `X-PTRNG-Ledger` stays the static
+    /// accounting trail (the provenance document, not the live state); on the
+    /// expansion tier it is the ledger funding the DRBG seeds, and no
+    /// min-entropy is claimed for the expanded bytes themselves.
+    fn head(self, state: &SharedState, tap: &EntropyTap) -> Option<ResponseHead> {
+        let head = ResponseHead::new(200).header("Content-Type", "application/octet-stream");
+        let head = match self {
+            StreamTier::Entropy => head.header("X-PTRNG-Tier", "full-entropy").header(
+                "X-PTRNG-MinEntropy",
+                format!("{:.6}", tap.min_entropy_per_bit()),
+            ),
+            StreamTier::Random => {
+                state.expanded.as_ref()?;
+                head.header("X-PTRNG-Tier", "drbg-sha256")
+            }
+        };
+        Some(head.header("X-PTRNG-Ledger", tap.ledger().to_json()))
+    }
+
+    /// This tier's token bucket and the budget its 429 names.  Each tier has
+    /// its own: expanded bytes are cheap, so a `/random` consumer must not
+    /// drain the full-entropy budget of `/entropy` clients behind the same IP
+    /// (and vice versa).
+    fn limiter(self, state: &SharedState) -> (Option<&RateLimiter>, &'static str) {
+        match self {
+            StreamTier::Entropy => (state.limiter.as_ref(), "entropy"),
+            StreamTier::Random => (state.drbg_limiter.as_ref(), "drbg"),
+        }
+    }
+
+    /// Fills `out` completely, or fails with the reason to refuse: the tap died
+    /// (every shard alarmed), or a due reseed cannot be funded by the currently
+    /// accounted claim.  `/entropy` bytes are counted as served here.
+    fn draw(self, state: &SharedState, out: &mut [u8]) -> std::result::Result<(), EngineError> {
+        match (self, &state.supply, &state.expanded) {
+            (StreamTier::Entropy, Supply::Serving(tap), _) => {
+                fill(tap, out)?;
+                state.metrics.record_bytes_served(out.len() as u64);
+                Ok(())
+            }
+            (StreamTier::Random, _, Some(expanded)) => expanded.draw(out),
+            // Streams start only on a live tier; fail closed all the same.
+            _ => Err(stream_ended()),
+        }
+    }
+}
+
+/// Fills `out` from the tap, whole or not at all: a short draw means every
+/// shard has terminated, and the caller refuses rather than serve short bytes.
+fn fill(tap: &EntropyTap, out: &mut [u8]) -> std::result::Result<(), EngineError> {
+    if tap.draw(out) == out.len() {
+        Ok(())
+    } else {
+        Err(stream_ended())
+    }
+}
+
+fn stream_ended() -> EngineError {
+    EngineError::SourceFault {
+        reason: "the entropy stream ended: every shard has alarmed".into(),
+    }
+}
+
+/// `GET /entropy?bytes=N` and `GET /random?bytes=N` — one handler for both
+/// product tiers: full-entropy conditioned bytes straight from the engine, or
+/// Hash_DRBG output seeded (and policy-reseeded) from ledger-accounted
+/// conditioned entropy.
+///
+/// The expansion tier trades the full-entropy guarantee for throughput: between
+/// funded reseeds it keeps serving even while the accounted credit dips (a
+/// quarantined pool child), because the bits it emits were funded by a seed
+/// that *was* accounted when drawn.
+///
+/// Both tiers draw the first chunk before the `200` head is committed, so a
+/// draw that fails — a dead tap, an unfundable reseed — answers the canonical
+/// 503 [`refusal`], never a `200` with a missing body; a failure after the
+/// head is a visible truncation (see [`pump`]).
+fn draw(
     state: &SharedState,
+    tier: StreamTier,
     request: &Request,
+    peer_ip: IpAddr,
     keep_alive: bool,
     head_only: bool,
-) -> std::result::Result<u64, Routed> {
+) -> Routed {
     let bytes = match request.query_param("bytes").map(str::parse::<u64>) {
-        Some(Ok(bytes)) => bytes,
+        Some(Ok(bytes)) if bytes <= state.max_request_bytes => bytes,
+        Some(Ok(bytes)) => {
+            let body = error_body(
+                "request too large",
+                &format!(
+                    "`bytes` is capped at {} per request (asked for {bytes})",
+                    state.max_request_bytes
+                ),
+            );
+            return json_routed(state, 413, &body, keep_alive, head_only);
+        }
         Some(Err(_)) => {
             let body = error_body("bad request", "`bytes` must be a non-negative integer");
-            return Err(json_routed(state, 400, &body, keep_alive, head_only));
+            return json_routed(state, 400, &body, keep_alive, head_only);
         }
         None => {
             let body = error_body("bad request", "missing `bytes` query parameter");
-            return Err(json_routed(state, 400, &body, keep_alive, head_only));
+            return json_routed(state, 400, &body, keep_alive, head_only);
         }
     };
-    if bytes > state.max_request_bytes {
-        let body = error_body(
-            "request too large",
-            &format!(
-                "`bytes` is capped at {} per request (asked for {bytes})",
-                state.max_request_bytes
-            ),
-        );
-        return Err(json_routed(state, 413, &body, keep_alive, head_only));
-    }
-    Ok(bytes)
-}
-
-fn entropy(
-    state: &SharedState,
-    request: &Request,
-    peer_ip: IpAddr,
-    keep_alive: bool,
-    head_only: bool,
-) -> Routed {
-    let bytes = match parse_bytes_param(state, request, keep_alive, head_only) {
-        Ok(bytes) => bytes,
-        Err(refusal) => return refusal,
-    };
-
     let tap = match &state.supply {
         Supply::Serving(tap) => tap,
-        Supply::Refusing {
-            ledger,
-            accounted,
-            required,
-        } => {
-            // The refusal is the ledger: the canonical JSON form *is* the body.
-            return deficit_refusal(state, ledger, *accounted, *required, keep_alive, head_only);
-        }
+        // No engine ran, so no byte of either tier can ever be accounted for.
+        Supply::Refusing { deficit, .. } => return refusal(state, deficit, keep_alive, head_only),
     };
-
-    // `X-PTRNG-MinEntropy` carries the *currently accounted* claim — for a pool
-    // with a quarantined child this is the honestly reduced survivors-only
-    // credit, not the spawn-time figure.  `X-PTRNG-Ledger` stays the static
-    // accounting trail (the provenance document, not the live state).
-    let ledger = tap.ledger();
-    let head = ResponseHead::new(200)
-        .header("Content-Type", "application/octet-stream")
-        .header("X-PTRNG-Tier", "full-entropy")
-        .header(
-            "X-PTRNG-MinEntropy",
-            format!("{:.6}", tap.min_entropy_per_bit()),
-        )
-        .header("X-PTRNG-Ledger", ledger.to_json());
-    // HEAD serves only the contract headers and draws nothing, so it is answered
-    // before the limiter: a probe must not spend the client's entropy budget.
-    if head_only {
-        return finish(state, &head, b"", keep_alive, true);
-    }
-
-    if let Some(limiter) = &state.limiter {
-        if let Err(retry_secs) = limiter.try_acquire(peer_ip, bytes, Instant::now()) {
-            // Keep-alive on purpose: a rate-limited client retries on this
-            // socket after `Retry-After` instead of paying a reconnect.
-            return rate_limited(state, "entropy", retry_secs, keep_alive);
-        }
-    }
-
-    state.metrics.record_response(200);
-    let mut out = Vec::with_capacity(512);
-    ChunkedWriter::start(&mut out, &head, keep_alive).expect("buffer writes are infallible");
-    let mut routed = Routed {
-        bytes: out,
-        status: 200,
-        keep_alive,
-        stream: None,
-    };
-    if bytes == 0 {
-        // Zero-byte draws never touch the tap.
-        encode_chunk_end(&mut routed.bytes);
-    } else {
-        routed.stream = Some(StreamBody {
-            tier: StreamTier::Entropy,
-            remaining: bytes,
-        });
-    }
-    routed
-}
-
-/// `GET /random?bytes=N` — the DRBG expansion tier: Hash_DRBG output seeded
-/// (and policy-reseeded) from ledger-accounted conditioned entropy.
-///
-/// The tier trades the full-entropy guarantee for throughput: between funded
-/// reseeds it keeps serving even while the accounted credit dips (a quarantined
-/// pool child), because the bits it emits were funded by a seed that *was*
-/// accounted when drawn.  An unfundable **reseed**, however, answers the same
-/// canonical 503-with-ledger refusal as `/entropy` — never silently degraded
-/// output.  Disabled tiers (no `--drbg`) answer 404.
-fn random(
-    state: &SharedState,
-    request: &Request,
-    peer_ip: IpAddr,
-    keep_alive: bool,
-    head_only: bool,
-) -> Routed {
-    let bytes = match parse_bytes_param(state, request, keep_alive, head_only) {
-        Ok(bytes) => bytes,
-        Err(refusal) => return refusal,
-    };
-    if let Supply::Refusing {
-        ledger,
-        accounted,
-        required,
-    } = &state.supply
-    {
-        // No engine ran, so no seed can ever be funded: mirror /entropy.
-        return deficit_refusal(state, ledger, *accounted, *required, keep_alive, head_only);
-    }
-    let Some(expanded) = &state.expanded else {
+    let Some(head) = tier.head(state, tap) else {
         let body = error_body(
             "drbg tier disabled",
             "start ptrng-serve with --drbg to enable /random",
         );
         return json_routed(state, 404, &body, keep_alive, head_only);
     };
-
-    let head = ResponseHead::new(200)
-        .header("Content-Type", "application/octet-stream")
-        .header("X-PTRNG-Tier", "drbg-sha256")
-        .header("X-PTRNG-Ledger", expanded.tap().ledger().to_json());
+    // HEAD serves only the contract headers and draws nothing, so it is answered
+    // before the limiter: a probe must not spend the client's budget.
     if head_only {
         return finish(state, &head, b"", keep_alive, true);
     }
-
-    if let Some(limiter) = &state.drbg_limiter {
+    if let (Some(limiter), budget) = tier.limiter(state) {
         if let Err(retry_secs) = limiter.try_acquire(peer_ip, bytes, Instant::now()) {
-            return rate_limited(state, "drbg", retry_secs, keep_alive);
+            // Keep-alive on purpose: a rate-limited client retries on this
+            // socket after `Retry-After` instead of paying a reconnect.
+            return rate_limited(state, budget, retry_secs, keep_alive);
         }
     }
-
-    let mut routed = Routed {
-        bytes: Vec::with_capacity(512),
-        status: 200,
-        keep_alive,
-        stream: None,
+    // The head is rendered but not committed until the first chunk is drawn.
+    // A zero-byte draw frames only the terminator and touches neither tier (in
+    // particular it never lazily instantiates the DRBG, which would debit a
+    // full accounted seed for nothing).
+    let first = state.chunk_bytes as u64;
+    let mut out = Vec::with_capacity(first.min(bytes) as usize + 1024);
+    ChunkedWriter::start(&mut out, &head, keep_alive).expect("buffer writes are infallible");
+    let body = StreamBody {
+        tier,
+        remaining: bytes,
     };
-    if bytes == 0 {
-        // Never touches the DRBG: a zero-byte request must not lazily
-        // instantiate it and debit a full accounted seed for nothing.
-        state.metrics.record_response(200);
-        ChunkedWriter::start(&mut routed.bytes, &head, keep_alive)
-            .expect("buffer writes are infallible");
-        encode_chunk_end(&mut routed.bytes);
-        return routed;
+    match frame(state, body, first, &mut out) {
+        Ok(stream) => {
+            state.metrics.record_response(200);
+            Routed {
+                bytes: out,
+                status: 200,
+                keep_alive,
+                stream,
+            }
+        }
+        Err(error) => refusal(state, &error, keep_alive, false),
     }
-
-    // The first chunk is drawn before the response head goes out, so a reseed
-    // refusal surfaces as a clean 503 instead of a truncated 200.
-    let first = (state.chunk_bytes as u64).min(bytes) as usize;
-    let mut buffer = vec![0u8; first];
-    if let Err(error) = expanded.draw(&mut buffer) {
-        return drbg_refusal(state, &error, keep_alive);
-    }
-    state.metrics.record_response(200);
-    routed.bytes.reserve(first + 128);
-    ChunkedWriter::start(&mut routed.bytes, &head, keep_alive)
-        .expect("buffer writes are infallible");
-    encode_chunk(&mut routed.bytes, &buffer);
-    state.metrics.record_bytes_served(first as u64);
-    let remaining = bytes - first as u64;
-    if remaining == 0 {
-        encode_chunk_end(&mut routed.bytes);
-    } else {
-        routed.stream = Some(StreamBody {
-            tier: StreamTier::Random,
-            remaining,
-        });
-    }
-    routed
 }
 
-/// The canonical 503 deficit refusal shared by the serving tiers: the accounted
-/// ledger as body and `X-PTRNG-Ledger` header, plus retry advice.
-fn deficit_refusal(
-    state: &SharedState,
-    ledger: &EntropyLedger,
-    accounted: f64,
-    required: f64,
-    keep_alive: bool,
-    head_only: bool,
-) -> Routed {
-    let body = deficit_body(ledger, accounted, required);
-    let head = ResponseHead::new(503)
-        .header("Content-Type", "application/json")
-        .header("Retry-After", format!("{DEFICIT_RETRY_AFTER_SECS}"))
-        .header("X-PTRNG-Ledger", ledger.to_json());
-    finish(state, &head, body.as_bytes(), keep_alive, head_only)
-}
-
-fn deficit_body(ledger: &EntropyLedger, accounted: f64, required: f64) -> String {
-    format!(
-        "{{\"error\":\"entropy deficit\",\"accounted\":{accounted},\
-         \"required\":{required},\"ledger\":{}}}",
-        ledger.to_json()
-    )
-}
-
-/// Renders the `/random` refusal for a draw that failed before the response
-/// head was committed: entropy deficits carry the canonical ledger body.
-fn drbg_refusal(
-    state: &SharedState,
-    error: &ptrng_engine::EngineError,
-    keep_alive: bool,
-) -> Routed {
-    if let EngineError::EntropyDeficit {
+/// The canonical 503 refusal: the one renderer behind every refusal of a draw
+/// endpoint or `/selftest`.  An entropy deficit — at spawn, or a reseed the
+/// currently accounted claim cannot fund — answers with the accounted ledger
+/// as the body and the `X-PTRNG-Ledger` header, plus retry advice; any other
+/// failure (a dead tap) names the error.
+fn refusal(state: &SharedState, error: &EngineError, keep_alive: bool, head_only: bool) -> Routed {
+    let EngineError::EntropyDeficit {
         accounted,
         required,
         ledger,
         ..
     } = error
-    {
-        return deficit_refusal(state, ledger, *accounted, *required, keep_alive, false);
-    }
-    let body = error_body("drbg tier unavailable", &error.to_string());
-    json_routed(state, 503, &body, keep_alive, false)
+    else {
+        let body = error_body("entropy unavailable", &error.to_string());
+        return json_routed(state, 503, &body, keep_alive, head_only);
+    };
+    // The refusal is the ledger: the canonical JSON form *is* the body.
+    let ledger = ledger.to_json();
+    let body = format!(
+        "{{\"error\":\"entropy deficit\",\"accounted\":{accounted},\
+         \"required\":{required},\"ledger\":{ledger}}}"
+    );
+    let head = ResponseHead::new(503)
+        .header("Content-Type", "application/json")
+        .header("Retry-After", format!("{DEFICIT_RETRY_AFTER_SECS}"))
+        .header("X-PTRNG-Ledger", ledger);
+    finish(state, &head, body.as_bytes(), keep_alive, head_only)
 }
 
 fn healthz(state: &SharedState, keep_alive: bool, head_only: bool) -> Routed {
@@ -1496,9 +1444,9 @@ fn healthz(state: &SharedState, keep_alive: bool, head_only: bool) -> Routed {
             (body, if live_shards == 0 { 503 } else { 200 })
         }
         Supply::Refusing {
-            ledger,
-            accounted: _,
+            accounted,
             required,
+            ..
         } => {
             let body = HealthzBody {
                 status: "refusing".to_string(),
@@ -1506,7 +1454,7 @@ fn healthz(state: &SharedState, keep_alive: bool, head_only: bool) -> Routed {
                 live_shards: 0,
                 alarms: 0,
                 alarm_reasons: Vec::new(),
-                min_entropy_per_bit: ledger.min_entropy_per_bit(),
+                min_entropy_per_bit: *accounted,
                 required_min_entropy: Some(*required),
                 pool_children: Vec::new(),
                 postmortems: Vec::new(),
@@ -1526,12 +1474,7 @@ fn metrics(state: &SharedState, keep_alive: bool, head_only: bool) -> Routed {
             tap.live_shards(),
             true,
         ),
-        Supply::Refusing { ledger, .. } => (
-            empty_snapshot(state.shards),
-            ledger.min_entropy_per_bit(),
-            0,
-            false,
-        ),
+        Supply::Refusing { accounted, .. } => (empty_snapshot(state.shards), *accounted, 0, false),
     };
     let mut enc = TextEncoder::new();
     render_prometheus_into(&mut enc, &snapshot, &state.metrics, h, live, serving);

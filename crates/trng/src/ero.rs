@@ -128,27 +128,6 @@ impl EroTrng {
         }
         self.sampler()?.fill_bits(rng, out)
     }
-
-    /// Generates `count` raw bits into a new vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `count == 0` or the underlying simulation fails.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call; use `fill_bits` (or hold an `EroSampler`) instead"
-    )]
-    pub fn generate_bits(&self, rng: &mut dyn RngCore, count: usize) -> Result<Vec<u8>> {
-        if count == 0 {
-            return Err(TrngError::InvalidParameter {
-                name: "count",
-                reason: "at least one bit must be requested".to_string(),
-            });
-        }
-        let mut bits = vec![0u8; count];
-        self.fill_bits(rng, &mut bits)?;
-        Ok(bits)
-    }
 }
 
 /// Streaming bit sampler for an [`EroTrng`]: persistent oscillator phase plus reusable
@@ -589,19 +568,6 @@ mod tests {
         assert_eq!(bits.len(), 2000);
         assert!(bits.iter().all(|&b| b <= 1));
         assert!((trng.bit_rate() - 103.0e6 * 0.9993 / 16.0).abs() < 1.0);
-    }
-
-    /// The single compatibility gate for the deprecated shim: everything else in the
-    /// workspace (internals, examples, benches) uses `fill_bits`/`EroSampler`.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_generate_bits_wraps_fill_bits() {
-        let trng = EroTrng::new(jittery_config(4)).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let bits = trng.generate_bits(&mut rng, 1000).unwrap();
-        assert_eq!(bits, fill(&trng, 9, 1000));
-        // Error path of the shim, gated here rather than in the validation test.
-        assert!(trng.generate_bits(&mut rng, 0).is_err());
     }
 
     #[test]

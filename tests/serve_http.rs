@@ -244,6 +244,24 @@ fn entropy_deficit_answers_503_with_the_ledger_body() {
     // The header carries it too.
     assert!(response.header("x-ptrng-ledger").is_some());
 
+    // Every endpoint that would draw answers the same canonical refusal: same
+    // retry advice, same ledger header, byte-identical deficit body.
+    for target in ["/random?bytes=64", "/selftest"] {
+        let other = get(server.addr, target);
+        assert_eq!(other.status, 503, "{target}: {}", other.body_text());
+        assert_eq!(
+            other.header("retry-after"),
+            response.header("retry-after"),
+            "{target}"
+        );
+        assert_eq!(
+            other.header("x-ptrng-ledger"),
+            response.header("x-ptrng-ledger"),
+            "{target}"
+        );
+        assert_eq!(other.body_text(), body, "{target}");
+    }
+
     // healthz reflects the refusal with a 503 of its own.
     let health = get(server.addr, "/healthz");
     assert_eq!(health.status, 503);
@@ -604,6 +622,57 @@ fn alarms_surface_postmortems_on_healthz_trace_and_journal() {
     let _ = std::fs::remove_file(&journal_path);
 }
 
+/// A dead tap is a clean 503 on `/entropy`, never a committed `200` head with
+/// no body: the full-entropy tier draws its first chunk before the head, like
+/// `/random` does.
+#[test]
+fn entropy_on_a_dead_tap_answers_503_before_any_200_head() {
+    use ptrng_engine::audit::AuditConfig;
+
+    // The only shard audits model:0.95 (~0.074 bits/bit) against an asserted
+    // 0.9 claim: its first window refutes the claim and the alarm ends the
+    // stream, leaving at most the few batches already queued.
+    let engine = EngineConfig::new(SourceSpec::model(0.95).expect("valid spec"))
+        .shards(1)
+        .seed(11)
+        .audit(Some(
+            AuditConfig::default().window_bits(1 << 14).claim(Some(0.9)),
+        ))
+        .health(HealthConfig::default().without_startup_battery());
+    let server = TestServer::start(ServeConfig::new(engine));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let health = get(server.addr, "/healthz");
+        if health.body_text().contains("\"status\":\"alarmed\"") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the shard never alarmed: {}",
+            health.body_text()
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    let mut conn = TcpStream::connect(server.addr).expect("connects");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout set");
+    conn.write_all(b"GET /entropy?bytes=65536 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("request written");
+    let mut bytes = Vec::new();
+    conn.read_to_end(&mut bytes).expect("response read");
+    assert!(
+        bytes.starts_with(b"HTTP/1.1 503 "),
+        "a dead tap must refuse, not commit a 200 head: {}",
+        String::from_utf8_lossy(&bytes[..bytes.len().min(64)])
+    );
+    let response = parse_response(&bytes);
+    let text = response.body_text();
+    assert_eq!(response.header("content-type"), Some("application/json"));
+    serde_json::from_str::<serde::Value>(&text).expect("the refusal body is JSON");
+    assert!(text.contains("\"error\":"), "{text}");
+}
+
 /// The full degraded-mode drill over HTTP: a three-child pool with a scripted
 /// stuck window on child 1 keeps serving 200s throughout, the dynamic
 /// `X-PTRNG-MinEntropy` header drops to the two-child combination while the
@@ -833,6 +902,14 @@ fn random_tier_draws_exact_bytes_with_tier_headers() {
     assert!(
         metrics.contains("ptrng_drbg_reseed_seconds_count"),
         "reseed latency histogram family: {metrics}"
+    );
+    // The served-bytes counter is the full-entropy tier's alone: the 64 bytes
+    // of /entropy, none of the 100 kB the DRBG family already counts.
+    assert!(
+        metrics
+            .lines()
+            .any(|line| line == "ptrng_http_entropy_bytes_served_total 64"),
+        "{metrics}"
     );
 }
 
@@ -1308,28 +1385,34 @@ fn the_per_ip_gate_refuses_with_429() {
 }
 
 /// The loadgen library drives the server it ships with: a closed-loop run with
-/// provably simultaneous keep-alive clients, every byte accounted.
+/// provably simultaneous keep-alive clients, every byte accounted — and clients
+/// that outlive the server's 64-request keep-alive budget reconnect when it
+/// answers `Connection: close` instead of writing into the closed socket.
 #[test]
 fn loadgen_closed_loop_sustains_concurrent_keepalive_clients() {
     let server = TestServer::start(drbg_config(128 << 20));
-    let config = ptrng_serve::loadgen::LoadgenConfig::closed(
-        server.addr.to_string(),
-        "/random?bytes=4096",
-        64,
-    );
-    let report = ptrng_serve::loadgen::run(&config);
-    assert!(report.ok(), "{}", report.to_json());
-    assert_eq!(
-        report.connected, 64,
-        "every client held a socket at the rendezvous"
-    );
-    assert_eq!(report.requests, 128, "2 keep-alive requests per connection");
-    assert_eq!(
-        report.bytes_read,
-        128 * 4096,
-        "exact bytes under concurrency"
-    );
-    assert!(report.p50_ms.is_some() && report.p99_ms.is_some());
+    for (connections, requests_per_conn) in [(64, 2), (2, 150)] {
+        let mut config = ptrng_serve::loadgen::LoadgenConfig::closed(
+            server.addr.to_string(),
+            "/random?bytes=4096",
+            connections,
+        );
+        config.requests_per_conn = requests_per_conn;
+        let report = ptrng_serve::loadgen::run(&config);
+        assert!(report.ok(), "no errors, no 5xx: {}", report.to_json());
+        assert_eq!(
+            report.connected, connections,
+            "every client held a socket at the rendezvous"
+        );
+        let requests = (connections * requests_per_conn) as u64;
+        assert_eq!(report.requests, requests, "every keep-alive request");
+        assert_eq!(
+            report.bytes_read,
+            requests * 4096,
+            "exact bytes under concurrency"
+        );
+        assert!(report.p50_ms.is_some() && report.p99_ms.is_some());
+    }
 }
 
 #[test]
