@@ -15,11 +15,12 @@
 //! the original rolling-window hash-map scan covered.  Sequences whose repeated
 //! structure extends beyond that are already flagged by the t-tuple estimate at
 //! length 128 (such data is profoundly non-random), so the truncation never
-//! rescues a bad source.  The hash-map scan is retained as
-//! [`t_tuple_and_lrs_estimates_reference`]: the suffix-array path must reproduce
+//! rescues a bad source.  The hash-map scan is retained as a test oracle
+//! (`t_tuple_and_lrs_estimates_reference`): the suffix-array path must reproduce
 //! its counts *exactly* (identical integers, hence identical estimates), which
 //! the proptest equivalence gate below and `tests/estimator_vectors.rs` enforce.
 
+#[cfg(test)]
 use std::collections::HashMap;
 
 use crate::bits::ensure_bits;
@@ -45,6 +46,7 @@ struct TupleCounts {
     collision_pairs: f64,
 }
 
+#[cfg(test)]
 fn count_tuples(bits: &[u8], width: usize) -> TupleCounts {
     debug_assert!((1..=MAX_TUPLE_BITS).contains(&width) && bits.len() >= width);
     let mask = if width == 128 {
@@ -178,15 +180,14 @@ pub fn t_tuple_and_lrs_estimates(bits: &[u8]) -> Result<(EstimatorResult, Estima
 /// discipline the FIR-vs-FFT filters use): the fast path must reproduce these
 /// estimates exactly, and the proptest below plus the golden vectors in
 /// `tests/estimator_vectors.rs` keep that pinned.  `O(w_max·n)` with a heavy
-/// hash-map constant — do not use on hot paths.
+/// hash-map constant.
 ///
 /// # Errors
 ///
 /// Returns an error for sequences shorter than 70 bits or containing non-bit
 /// values.
-pub fn t_tuple_and_lrs_estimates_reference(
-    bits: &[u8],
-) -> Result<(EstimatorResult, EstimatorResult)> {
+#[cfg(test)]
+fn t_tuple_and_lrs_estimates_reference(bits: &[u8]) -> Result<(EstimatorResult, EstimatorResult)> {
     ensure_bits(bits)?;
     ensure_min_len(bits, 2 * FREQUENT_CUTOFF as usize)?;
     Ok(estimates_from_counts(bits.len(), |width| {

@@ -1,11 +1,9 @@
-//! Shared helpers for the experiment-regeneration binaries and Criterion benchmarks.
+//! Shared helpers for the experiment-regeneration binaries.
 //!
-//! Every experiment of `EXPERIMENTS.md` (FIG7, EQ6, EQ11, RN, THERMAL, ENTROPY) is backed
-//! by one binary in `src/bin/` that prints the regenerated rows/series, and one Criterion
-//! benchmark in `benches/` that measures the cost of the underlying computation.  The
-//! `engine_snapshot` binary additionally refreshes `BENCH_ENGINE.json` (schema v3,
-//! including the `ptrng-serve` loopback throughput) — the numbers the capacity-planning
-//! table of `docs/operations.md` is built from.
+//! Every experiment of the paper (FIG7, EQ6, EQ11, RN, THERMAL, ENTROPY) is backed by one
+//! seeded, deterministic binary in `src/bin/` that prints the regenerated rows/series and
+//! the verdict they support.  Speed is measured elsewhere: `perfbench` (see
+//! `BENCHMARK.json`) is the workspace's one benchmark harness.
 //!
 //! # Example
 //!

@@ -163,7 +163,7 @@ pub mod prelude {
     pub use crate::health::{AlarmReason, HealthConfig, HealthMonitor, HealthState};
     pub use crate::metrics::{AlarmKind, MetricsSnapshot, ShardAlarm};
     pub use crate::observatory::Observatory;
-    pub use crate::pool::{ConditionerSpec, Engine, EngineConfig, ObsOptions, StageSpec};
+    pub use crate::pool::{ConditionerSpec, Engine, EngineConfig, StageSpec};
     pub use crate::pooled::{PoolOptions, PoolSource};
     pub use crate::source::{ChildStatus, EntropySource, JitterProfile, SourceEvent, SourceSpec};
     pub use crate::stream::Batch;

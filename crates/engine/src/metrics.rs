@@ -129,15 +129,28 @@ pub struct ShardMetrics {
     output_bytes: AtomicU64,
     batches: AtomicU64,
     /// Accounted min-entropy per conditioned output bit (an `f64` stored via
-    /// `to_bits`, set once at spawn from the shard's entropy ledger).
+    /// `to_bits`, set at spawn from the shard's entropy ledger and re-set when a
+    /// pool's claim changes).
     entropy_per_output_bit: AtomicU64,
+    /// Accounted min-entropy of the published output, in bits (an `f64` stored via
+    /// `to_bits`): each batch adds its bits at the claim in force for it, so a
+    /// lowered claim never re-credits bits already published.
+    accounted_entropy_bits: AtomicU64,
 }
 
 impl ShardMetrics {
+    /// Counts one published batch.  Only the shard's worker calls this, so the
+    /// accounted-bits accumulator needs no read-modify-write atomic.
     pub(crate) fn record_batch(&self, raw_bits: u64, output_bytes: u64) {
         self.raw_bits.fetch_add(raw_bits, Ordering::Relaxed);
         self.output_bytes.fetch_add(output_bytes, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
+        let h = f64::from_bits(self.entropy_per_output_bit.load(Ordering::Relaxed));
+        let accounted = f64::from_bits(self.accounted_entropy_bits.load(Ordering::Relaxed));
+        self.accounted_entropy_bits.store(
+            (accounted + output_bytes as f64 * 8.0 * h).to_bits(),
+            Ordering::Relaxed,
+        );
     }
 
     pub(crate) fn set_entropy_per_output_bit(&self, h: f64) {
@@ -146,16 +159,17 @@ impl ShardMetrics {
     }
 
     fn snapshot(&self, shard: usize) -> ShardSnapshot {
-        let output_bytes = self.output_bytes.load(Ordering::Relaxed);
-        let entropy_per_output_bit =
-            f64::from_bits(self.entropy_per_output_bit.load(Ordering::Relaxed));
         ShardSnapshot {
             shard,
             raw_bits: self.raw_bits.load(Ordering::Relaxed),
-            output_bytes,
+            output_bytes: self.output_bytes.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            entropy_per_output_bit,
-            accounted_entropy_bits: output_bytes as f64 * 8.0 * entropy_per_output_bit,
+            entropy_per_output_bit: f64::from_bits(
+                self.entropy_per_output_bit.load(Ordering::Relaxed),
+            ),
+            accounted_entropy_bits: f64::from_bits(
+                self.accounted_entropy_bits.load(Ordering::Relaxed),
+            ),
         }
     }
 }
@@ -397,6 +411,19 @@ mod tests {
         assert!((snap.per_shard[1].accounted_entropy_bits - 50.0 * 8.0).abs() < 1e-9);
         let total = 100.0 * 8.0 * 0.25 + 50.0 * 8.0;
         assert!((snap.total_accounted_entropy_bits - total).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_lowered_claim_never_re_credits_published_bits() {
+        let metrics = EngineMetrics::new(1);
+        metrics.set_entropy_per_output_bit(0, 1.0);
+        metrics.shard(0).record_batch(800, 100);
+        // A pool quarantine lowers the claim: only later batches carry the new rate.
+        metrics.set_entropy_per_output_bit(0, 0.25);
+        metrics.shard(0).record_batch(800, 100);
+        let snap = metrics.snapshot();
+        assert!((snap.total_accounted_entropy_bits - 1000.0).abs() < 1e-9);
+        assert!((snap.per_shard[0].entropy_per_output_bit - 0.25).abs() < 1e-15);
     }
 
     #[test]

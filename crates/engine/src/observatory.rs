@@ -17,17 +17,15 @@ use std::sync::Arc;
 use ptrng_ais::estimators::{EstimatorTiming, BATTERY_UNIT_NAMES};
 use ptrng_obs::{
     Event, EventKind, FlightRecorder, Journal, LogLinearHistogram, ObsClock, PostmortemStore,
-    TextEncoder, DEFAULT_TIME_BOUNDS_NS,
+    TextEncoder, DEFAULT_TIME_BOUNDS_NS, RING_EVENTS,
 };
 
 use crate::audit::COUNTER_TIMING_LABEL;
-use crate::pool::ObsOptions;
 
 /// Shared observability state of one running engine.
 #[derive(Debug)]
 pub struct Observatory {
     clock: ObsClock,
-    recorder_enabled: bool,
     /// One flight recorder per shard, written by that shard's worker.
     recorders: Vec<Arc<FlightRecorder>>,
     /// Consumer-side recorder: tap blocking waits.
@@ -51,19 +49,15 @@ impl Observatory {
     pub(crate) fn new(
         shards: usize,
         stage_labels: Vec<String>,
-        options: &ObsOptions,
         journal: Option<Arc<Journal>>,
     ) -> Self {
         let clock = ObsClock::new();
-        let ring = options.ring_events.max(1);
-        let enabled = options.recorder;
         Self {
             clock,
-            recorder_enabled: enabled,
             recorders: (0..shards)
-                .map(|_| Arc::new(FlightRecorder::new(clock, ring, enabled)))
+                .map(|_| Arc::new(FlightRecorder::new(clock, RING_EVENTS)))
                 .collect(),
-            tap_recorder: Arc::new(FlightRecorder::new(clock, ring, enabled)),
+            tap_recorder: Arc::new(FlightRecorder::new(clock, RING_EVENTS)),
             batch_ns: Arc::new(LogLinearHistogram::new()),
             stage_ns: stage_labels
                 .into_iter()
@@ -86,11 +80,6 @@ impl Observatory {
     /// The engine-wide monotonic clock every event is stamped against.
     pub fn clock(&self) -> ObsClock {
         self.clock
-    }
-
-    /// Whether flight recording is enabled (the `ObsOptions::recorder` toggle).
-    pub fn recorder_enabled(&self) -> bool {
-        self.recorder_enabled
     }
 
     /// The alarming shard's flight recorder.
@@ -269,13 +258,9 @@ impl Observatory {
 mod tests {
     use super::*;
 
-    fn options() -> ObsOptions {
-        ObsOptions::default()
-    }
-
     #[test]
     fn events_merge_across_recorders_in_time_order() {
-        let obs = Observatory::new(2, vec!["xor:4".to_string()], &options(), None);
+        let obs = Observatory::new(2, vec!["xor:4".to_string()], None);
         obs.recorder(0)
             .record(EventKind::BatchGenerated, Some(0), 10, 0);
         obs.recorder(1)
@@ -290,7 +275,7 @@ mod tests {
 
     #[test]
     fn histogram_families_render() {
-        let obs = Observatory::new(1, vec!["sha256:2".to_string()], &options(), None);
+        let obs = Observatory::new(1, vec!["sha256:2".to_string()], None);
         obs.batch_histogram().record(1_000_000);
         obs.stage_histograms()[0].1.record(250_000);
         obs.audit_histogram().record(90_000_000);
@@ -334,19 +319,5 @@ mod tests {
             1
         );
         assert!(!text.contains("not-an-estimator"), "{text}");
-    }
-
-    #[test]
-    fn disabled_recorder_produces_no_events() {
-        let mut opts = options();
-        opts.recorder = false;
-        let obs = Observatory::new(1, Vec::new(), &opts, None);
-        obs.recorder(0)
-            .record(EventKind::BatchGenerated, Some(0), 1, 0);
-        obs.record_tap_wait(1, 1);
-        assert!(obs.events().is_empty());
-        assert!(!obs.recorder_enabled());
-        // Histograms still record even with the recorder off.
-        assert_eq!(obs.tap_wait_histogram().count(), 1);
     }
 }

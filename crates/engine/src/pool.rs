@@ -189,30 +189,6 @@ impl ConditionerSpec {
     }
 }
 
-/// Observability options of an engine (the serializable part; the `--journal`
-/// sink is a runtime handle and is passed to [`Engine::spawn_with_journal`]
-/// instead).
-///
-/// The latency histograms are always on — they are a handful of atomic adds per
-/// batch.  The per-shard flight recorders can be disabled for overhead
-/// measurements; a disabled recorder costs one branch per event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ObsOptions {
-    /// Whether per-shard flight recorders capture events.
-    pub recorder: bool,
-    /// Capacity of each flight-recorder ring, in events (minimum 1).
-    pub ring_events: usize,
-}
-
-impl Default for ObsOptions {
-    fn default() -> Self {
-        Self {
-            recorder: true,
-            ring_events: 64,
-        }
-    }
-}
-
 /// Configuration of a sharded engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -250,8 +226,6 @@ pub struct EngineConfig {
     /// `audit` to be set; pair it with a sparse [`AuditCadence`](crate::audit::AuditCadence)
     /// to keep the overhead within budget (see `docs/operations.md`).
     pub audit_every_lane: bool,
-    /// Observability options: flight-recorder toggle and ring capacity.
-    pub obs: ObsOptions,
     /// Deterministic fault injection: wraps one pool child (per shard) in a
     /// [`FaultSource`](crate::fault::FaultSource) executing the plan.  Only valid
     /// with a [`SourceSpec::Pool`] spec — the drill exercises the pool's
@@ -276,7 +250,6 @@ impl EngineConfig {
             thermal_check_batches: 64,
             audit: None,
             audit_every_lane: false,
-            obs: ObsOptions::default(),
             fault: None,
         }
     }
@@ -344,13 +317,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the observability options.
-    #[must_use]
-    pub fn obs(mut self, obs: ObsOptions) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Arms a deterministic fault-injection plan (pool specs only).
     #[must_use]
     pub fn fault(mut self, fault: Option<FaultPlan>) -> Self {
@@ -401,12 +367,6 @@ impl EngineConfig {
             return Err(EngineError::InvalidParameter {
                 name: "thermal_check_batches",
                 reason: "the thermal sweep interval must be at least one batch".to_string(),
-            });
-        }
-        if self.obs.ring_events == 0 {
-            return Err(EngineError::InvalidParameter {
-                name: "obs.ring_events",
-                reason: "the flight-recorder ring must hold at least one event".to_string(),
             });
         }
         if self.fault.is_some() && !matches!(self.spec, SourceSpec::Pool { .. }) {
@@ -540,7 +500,6 @@ impl Engine {
         let obs = Arc::new(Observatory::new(
             config.shards,
             config.conditioner.build()?.stage_labels(),
-            &config.obs,
             journal,
         ));
 
@@ -1513,18 +1472,6 @@ mod tests {
             .iter()
             .any(|e| e.kind == EventKind::BatchGenerated));
         assert!(obs.postmortems().is_empty());
-    }
-
-    #[test]
-    fn disabled_recorder_still_fills_histograms() {
-        let mut config = model_config().budget_bytes(Some(2048));
-        config.obs.recorder = false;
-        let mut engine = Engine::spawn(config).unwrap();
-        engine.read_to_end().unwrap();
-        let obs = Arc::clone(engine.observatory());
-        engine.join().unwrap();
-        assert!(obs.events().is_empty(), "recorder off: no events");
-        assert!(obs.batch_histogram().count() > 0, "histograms stay on");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use ptrng_osc::jitter::{JitterGenerator, JitterSampler};
 use ptrng_osc::phase::PhaseNoiseModel;
 use ptrng_stats::minentropy::min_entropy_from_p_max;
 use ptrng_stats::sn::{sigma2_n_sweep, SnSampling};
+use ptrng_trng::conditioning::EntropyLedger;
 use ptrng_trng::ero::{EroSampler, EroTrng, EroTrngConfig};
 use ptrng_trng::stochastic::EntropyModel;
 
@@ -538,9 +539,9 @@ impl EntropySource for EroSource {
 
 /// XOR of K independent eRO-TRNGs: the classical multi-ring architecture.
 ///
-/// XOR-ing independent raw streams composes their biases multiplicatively, so the
-/// entropy claim improves with every ring (`1 - h` shrinks roughly by its own factor
-/// per ring), at K times the simulation cost.
+/// XOR-ing independent raw streams composes their biases by the piling-up lemma,
+/// credited exactly as a pool of the same rings ([`EntropyLedger::xor_mix`]), at K
+/// times the simulation cost.
 pub struct XorRingSource {
     rings: Vec<EroSource>,
     scratch: Vec<u8>,
@@ -563,8 +564,9 @@ impl XorRingSource {
         let sources = (0..rings)
             .map(|k| EroSource::new(division, profile, derive_seed(seed, 0x7269_6e67 + k as u64)))
             .collect::<Result<Vec<_>>>()?;
-        let single = sources[0].entropy_per_bit();
-        let entropy_claim = (1.0 - (1.0 - single).powi(rings as i32)).min(1.0);
+        let ring = EntropyLedger::source(&sources[0].label(), sources[0].entropy_per_bit())?;
+        let entropy_claim =
+            EntropyLedger::xor_mix("xor", &vec![ring; rings])?.min_entropy_per_bit();
         Ok(Self {
             rings: sources,
             scratch: Vec::new(),
@@ -875,6 +877,21 @@ mod tests {
         assert!(bits.iter().all(|&b| b <= 1));
         let single = EroSource::new(4, JitterProfile::Strong, 5).unwrap();
         assert!(src.entropy_per_bit() >= single.entropy_per_bit());
+        // `xor:K` credits through the piling-up lemma, exactly as a pool of the same
+        // rings does.
+        let claim = |spec: &str| {
+            SourceSpec::parse(spec)
+                .unwrap()
+                .build(5)
+                .unwrap()
+                .entropy_per_bit()
+        };
+        let xor = claim("xor:2:1:date14");
+        let pool = claim("pool:ero:1:date14+ero:1:date14");
+        assert!(
+            (xor - pool).abs() < 1e-12,
+            "xor:2 claims {xor}, the pool {pool}"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   recent [`event::Event`]s (batch generated, conditioning stage applied, health
 //!   verdict, audit window, tap wait, HTTP request, alarm) stamped with monotonic
 //!   nanoseconds from a shared [`recorder::ObsClock`]. Recording costs a handful of
-//!   atomic operations; a disabled recorder costs one branch.
+//!   atomic operations.
 //! * [`histogram`] — hand-rolled HDR-style **log-linear histograms**
 //!   ([`histogram::LogLinearHistogram`]): fixed buckets, lock-free recording,
 //!   mergeable, exact rank-based quantile queries, explicit saturation at the bucket
@@ -31,7 +31,7 @@
 //! use std::sync::Arc;
 //!
 //! let clock = ObsClock::new();
-//! let recorder = Arc::new(FlightRecorder::new(clock, 64, true));
+//! let recorder = Arc::new(FlightRecorder::new(clock, RING_EVENTS));
 //! let histogram = Arc::new(LogLinearHistogram::new());
 //! let probe = Probe::new(Arc::clone(&histogram), EventKind::BatchGenerated)
 //!     .with_recorder(Arc::clone(&recorder), Some(0));
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::journal::Journal;
     pub use crate::postmortem::{Postmortem, PostmortemStore};
     pub use crate::probe::Probe;
-    pub use crate::recorder::{FlightRecorder, ObsClock};
+    pub use crate::recorder::{FlightRecorder, ObsClock, RING_EVENTS};
 }
 
 pub use encoder::{MetricKind, TextEncoder};
@@ -72,4 +72,4 @@ pub use histogram::{
 pub use journal::Journal;
 pub use postmortem::{Postmortem, PostmortemStore};
 pub use probe::Probe;
-pub use recorder::{FlightRecorder, ObsClock};
+pub use recorder::{FlightRecorder, ObsClock, RING_EVENTS};

@@ -91,7 +91,7 @@ mod tests {
     #[test]
     fn probe_feeds_histogram_and_recorder() {
         let histogram = Arc::new(LogLinearHistogram::new());
-        let recorder = Arc::new(FlightRecorder::new(ObsClock::new(), 4, true));
+        let recorder = Arc::new(FlightRecorder::new(ObsClock::new(), 4));
         let probe = Probe::new(Arc::clone(&histogram), EventKind::StageApplied)
             .with_recorder(Arc::clone(&recorder), Some(2))
             .with_tag(1);

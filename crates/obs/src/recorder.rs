@@ -5,13 +5,8 @@
 //! per-slot sequence word (a seqlock): the sequence is bumped to odd before the
 //! payload words are stored and to the next even value after, so readers can detect
 //! and discard slots caught mid-write. There are no locks, no allocation on the
-//! record path, and no `unsafe`.
-//!
-//! A disabled recorder (constructed with `enabled = false`) reduces [`record`] to a
-//! single branch, which is what the `engine_snapshot` recorder-on/off benchmark
-//! measures.
-//!
-//! [`record`]: FlightRecorder::record
+//! record path, and no `unsafe`.  Recording is always on: the engine and HTTP
+//! recorders each keep the last [`RING_EVENTS`] events.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -20,6 +15,9 @@ use crate::event::{Event, EventKind};
 
 /// Shard word reserved for "no shard" (consumer-side events).
 const NO_SHARD: u64 = u32::MAX as u64;
+
+/// Capacity, in events, of every engine and HTTP flight recorder.
+pub const RING_EVENTS: usize = 64;
 
 /// A copyable monotonic epoch: every timestamp in the process is nanoseconds since
 /// the same `Instant`, so events from different recorders merge into one timeline.
@@ -90,7 +88,6 @@ fn unpack_kind_shard(word: u64) -> Option<(EventKind, Option<u32>)> {
 /// Fixed-size lock-free ring buffer of recent [`Event`]s.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    enabled: bool,
     clock: ObsClock,
     head: AtomicU64,
     slots: Box<[Slot]>,
@@ -98,22 +95,13 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// Creates a recorder keeping the most recent `capacity` events (minimum 1).
-    ///
-    /// When `enabled` is false every [`record`](Self::record) call is a no-op branch
-    /// and [`snapshot`](Self::snapshot) is always empty.
-    pub fn new(clock: ObsClock, capacity: usize, enabled: bool) -> Self {
+    pub fn new(clock: ObsClock, capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
-            enabled,
             clock,
             head: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Slot::empty()).collect(),
         }
-    }
-
-    /// Whether this recorder keeps events at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The clock this recorder stamps events with.
@@ -128,9 +116,6 @@ impl FlightRecorder {
 
     /// Records one event, overwriting the oldest when the ring is full.
     pub fn record(&self, kind: EventKind, shard: Option<u32>, value: u64, extra: u64) {
-        if !self.enabled {
-            return;
-        }
         let t_ns = self.clock.now_ns();
         let index = self.head.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
         let slot = &self.slots[index];
@@ -199,7 +184,7 @@ mod tests {
 
     #[test]
     fn records_and_snapshots_in_time_order() {
-        let recorder = FlightRecorder::new(ObsClock::new(), 8, true);
+        let recorder = FlightRecorder::new(ObsClock::new(), 8);
         for i in 0..5u64 {
             recorder.record(EventKind::BatchGenerated, Some(0), i, 2 * i);
         }
@@ -212,7 +197,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let recorder = FlightRecorder::new(ObsClock::new(), 4, true);
+        let recorder = FlightRecorder::new(ObsClock::new(), 4);
         for i in 0..10u64 {
             recorder.record(EventKind::StageApplied, Some(1), i, 0);
         }
@@ -224,16 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_stays_empty() {
-        let recorder = FlightRecorder::new(ObsClock::new(), 8, false);
-        recorder.record(EventKind::Alarm, Some(0), 1, 0);
-        assert!(!recorder.is_enabled());
-        assert!(recorder.snapshot().is_empty());
-    }
-
-    #[test]
     fn shardless_events_survive_packing() {
-        let recorder = FlightRecorder::new(ObsClock::new(), 2, true);
+        let recorder = FlightRecorder::new(ObsClock::new(), 2);
         recorder.record(EventKind::TapWait, None, 99, 1);
         let events = recorder.snapshot();
         assert_eq!(events.len(), 1);
@@ -244,7 +221,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_never_corrupt_the_ring() {
-        let recorder = std::sync::Arc::new(FlightRecorder::new(ObsClock::new(), 16, true));
+        let recorder = std::sync::Arc::new(FlightRecorder::new(ObsClock::new(), 16));
         let threads: Vec<_> = (0..4u32)
             .map(|shard| {
                 let recorder = std::sync::Arc::clone(&recorder);

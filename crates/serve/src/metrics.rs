@@ -39,15 +39,18 @@ impl ServerMetrics {
 
     /// Counts one response with the given status.
     pub fn record_response(&self, status: u16) {
-        if status == 429 {
-            self.rate_limited.fetch_add(1, Ordering::Relaxed);
-        }
         *self
             .responses_by_status
             .lock()
             .expect("metrics lock poisoned")
             .entry(status)
             .or_insert(0) += 1;
+    }
+
+    /// Counts one request refused by a per-client token bucket.  The per-IP
+    /// connection gate's 429 is not counted here (only under its status).
+    pub fn record_rate_limited(&self) {
+        self.rate_limited.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts `/entropy` (full-entropy tier) body bytes handed to clients.
@@ -112,7 +115,7 @@ pub fn render_prometheus_into(
     enc.scalar(
         "ptrng_accounted_entropy_bits_total",
         "Accounted min-entropy carried by the published output, in bits.",
-        MetricKind::Gauge,
+        MetricKind::Counter,
         format_args!("{:.3}", engine.total_accounted_entropy_bits),
     );
     enc.scalar(
@@ -408,6 +411,7 @@ mod tests {
         server.record_request();
         server.record_response(200);
         server.record_response(429);
+        server.record_rate_limited();
         server.record_bytes_served(4096);
         server.record_selftest(false);
         server.record_selftest(true);
@@ -441,6 +445,7 @@ mod tests {
         }
         // Exposition-format hygiene: HELP/TYPE precede each family.
         assert!(text.contains("# TYPE ptrng_raw_bits_total counter"));
+        assert!(text.contains("# TYPE ptrng_accounted_entropy_bits_total counter"));
         assert!(text.contains("# HELP ptrng_serving "));
     }
 }

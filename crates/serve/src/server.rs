@@ -62,7 +62,7 @@ use ptrng_engine::EngineError;
 use ptrng_obs::probe::elapsed_ns;
 use ptrng_obs::{
     Event, EventKind, FlightRecorder, Journal, LogLinearHistogram, MetricKind, ObsClock,
-    Postmortem, Probe, TextEncoder, DEFAULT_TIME_BOUNDS_NS,
+    Postmortem, Probe, TextEncoder, DEFAULT_TIME_BOUNDS_NS, RING_EVENTS,
 };
 use serde::{Serialize, Value};
 
@@ -349,11 +349,7 @@ impl Server {
             Supply::Refusing { .. } => None,
         };
         let clock = obs.as_ref().map_or_else(ObsClock::new, |obs| obs.clock());
-        let http_recorder = Arc::new(FlightRecorder::new(
-            clock,
-            config.engine.obs.ring_events.max(1),
-            config.engine.obs.recorder,
-        ));
+        let http_recorder = Arc::new(FlightRecorder::new(clock, RING_EVENTS));
         let http_probe = Probe::new(Arc::new(LogLinearHistogram::new()), EventKind::HttpRequest)
             .with_recorder(Arc::clone(&http_recorder), None);
         let listener = TcpListener::bind(&config.listen)?;
@@ -381,15 +377,6 @@ impl Server {
             idle_timeout: config.idle_timeout.unwrap_or(config.read_timeout),
             write_timeout: config.write_timeout,
         })
-    }
-
-    /// The end-to-end request-latency histogram, fed by every served request.
-    ///
-    /// Cloning the `Arc` before [`Server::serve`] consumes the server lets a
-    /// harness query p50/p99 (via [`ptrng_obs::HistogramSnapshot::quantile`]) after the
-    /// serving thread has drained.
-    pub fn request_latency(&self) -> Arc<LogLinearHistogram> {
-        Arc::clone(self.state.http_probe.histogram())
     }
 
     /// The bound socket address (resolves port 0 binds).
@@ -1568,6 +1555,7 @@ struct ErrorBody {
 /// rate-limited endpoints share this path, so the header and the loop's behavior
 /// cannot diverge).
 fn rate_limited(state: &SharedState, budget: &str, retry_secs: f64, keep_alive: bool) -> Routed {
+    state.metrics.record_rate_limited();
     let body = error_body(
         "rate limited",
         &format!("client {budget} budget exhausted; retry in {retry_secs:.1}s"),

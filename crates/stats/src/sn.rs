@@ -15,6 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
+#[cfg(test)]
 use crate::descriptive::sample_variance;
 use crate::{ensure_finite, ensure_len, Result, StatsError};
 
@@ -278,8 +279,8 @@ fn sigma2_n_over_prefix(prefix: &[f64], n: usize, stride: usize) -> Option<(f64,
 /// The prefix sums of the series are built once and every depth is reduced in a single
 /// fused pass over them (no per-depth `s_N` vector, no per-depth finiteness re-scan), so
 /// a full multi-depth sweep costs `O(len + Σ windows)` instead of the
-/// `O(len·depths)`-with-allocations of the windowed reference implementation
-/// ([`sigma2_n_sweep_windowed`]).
+/// `O(len·depths)`-with-allocations of the windowed reference implementation its
+/// equivalence tests compare it against.
 ///
 /// # Errors
 ///
@@ -352,15 +353,14 @@ pub fn sigma2_n_sweep(
 }
 
 /// Reference implementation of [`sigma2_n_sweep`]: materializes the `s_N` window series
-/// for every depth and takes its two-pass sample variance.
-///
-/// Kept for equivalence testing and benchmarking of the fused prefix-sum sweep; prefer
-/// [`sigma2_n_sweep`] everywhere else.
+/// for every depth and takes its two-pass sample variance.  A test oracle for the
+/// fused prefix-sum sweep.
 ///
 /// # Errors
 ///
 /// Same conditions as [`sigma2_n_sweep`].
-pub fn sigma2_n_sweep_windowed(
+#[cfg(test)]
+fn sigma2_n_sweep_windowed(
     jitter: &[f64],
     ns: &[usize],
     sampling: SnSampling,

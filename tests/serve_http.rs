@@ -83,7 +83,11 @@ impl Response {
 
 /// Sends one request (with `Connection: close`) and reads the full response.
 fn get(addr: SocketAddr, target: &str) -> Response {
-    let mut conn = TcpStream::connect(addr).expect("connects");
+    get_on(TcpStream::connect(addr).expect("connects"), target)
+}
+
+/// [`get`] over an already open connection.
+fn get_on(mut conn: TcpStream, target: &str) -> Response {
     conn.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout set");
     write!(
@@ -1365,7 +1369,7 @@ fn the_per_ip_gate_refuses_with_429() {
     config.per_ip_connections = 2;
     let server = TestServer::start(config);
 
-    let _hold_a = TcpStream::connect(server.addr).expect("first connects");
+    let hold_a = TcpStream::connect(server.addr).expect("first connects");
     let _hold_b = TcpStream::connect(server.addr).expect("second connects");
     std::thread::sleep(Duration::from_millis(100));
     let mut refused = TcpStream::connect(server.addr).expect("third reaches the backlog");
@@ -1382,6 +1386,18 @@ fn the_per_ip_gate_refuses_with_429() {
         refusal.body_text()
     );
     assert!(refusal.header("retry-after").is_some());
+    // The gate's 429 counts under its status only: the rate-limited family is the
+    // token buckets'.  Scrape over a connection the gate already admitted, so the
+    // scrape cannot race the gate's bookkeeping.
+    let metrics = get_on(hold_a, "/metrics").body_text();
+    assert!(
+        metrics.contains("\nptrng_http_rate_limited_total 0\n"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("\nptrng_http_responses_total{status=\"429\"} 1\n"),
+        "{metrics}"
+    );
 }
 
 /// The loadgen library drives the server it ships with: a closed-loop run with
