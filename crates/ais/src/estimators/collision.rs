@@ -72,29 +72,6 @@ pub(crate) fn collision_result_from_counts(n2: u64, n3: u64) -> EstimatorResult 
     let mean = (2 * n2 + 3 * n3) as f64 / v as f64;
     let (d2, d3) = (2.0 - mean, 3.0 - mean);
     let var = (n2 as f64 * d2 * d2 + n3 as f64 * d3 * d3) / (v - 1) as f64;
-    result_from_mean_and_variance(v, mean, var)
-}
-
-/// The estimate from running moments of the waiting times — the sliding-window
-/// audit maintains `Σt` and `Σt²` as exact integers and calls this per slide.
-///
-/// The moments-form variance `(Σt² − v·X̄²)/(v−1)` differs from
-/// [`collision_estimate`]'s grouped-count form only through `X̄`'s rounding, a
-/// relative difference around 1e-13 — far inside the battery's 1e-6 equivalence
-/// gate.
-pub(crate) fn collision_result_from_moments(
-    v: usize,
-    sum_t: u64,
-    sum_t_sq: u64,
-) -> EstimatorResult {
-    debug_assert!(v >= 2, "the audit window always contains two collisions");
-    let mean = sum_t as f64 / v as f64;
-    let var = (sum_t_sq as f64 - v as f64 * mean * mean) / (v - 1) as f64;
-    // Catastrophic cancellation could push a near-zero variance negative.
-    result_from_mean_and_variance(v, mean, var.max(0.0))
-}
-
-fn result_from_mean_and_variance(v: usize, mean: f64, var: f64) -> EstimatorResult {
     let mean_lo = mean - Z_99 * var.sqrt() / (v as f64).sqrt();
 
     // E[t] peaks at 2.5 for p = 1/2 and falls toward 2 as the bias grows; a lower

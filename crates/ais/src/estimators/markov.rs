@@ -35,10 +35,9 @@ pub fn markov_estimate(bits: &[u8]) -> Result<EstimatorResult> {
     Ok(markov_result_from_counts(ones, bits.len(), pairs))
 }
 
-/// The estimate from maintained ones and transition-pair counts — the
-/// sliding-window audit updates both in O(delta) per slide and calls this,
-/// byte-for-byte the same arithmetic as [`markov_estimate`] on the materialized
-/// window.
+/// The estimate from the ones and transition-pair counts of `n` bits — shared
+/// by [`markov_estimate`] and the fused
+/// [`counting_estimates`](super::counting_estimates) pass.
 pub(crate) fn markov_result_from_counts(
     ones: usize,
     n: usize,

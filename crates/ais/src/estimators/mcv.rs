@@ -25,9 +25,8 @@ pub fn mcv_estimate(bits: &[u8]) -> Result<EstimatorResult> {
     Ok(mcv_result_from_counts(ones, bits.len()))
 }
 
-/// The estimate from a maintained ones count — the sliding-window audit keeps
-/// `ones` incrementally and calls this per slide, byte-for-byte the same
-/// arithmetic as [`mcv_estimate`] on the materialized window.
+/// The estimate from the ones count of `n` bits — shared by [`mcv_estimate`]
+/// and the fused [`counting_estimates`](super::counting_estimates) pass.
 pub(crate) fn mcv_result_from_counts(ones: usize, n: usize) -> EstimatorResult {
     debug_assert!(n >= 2 && ones <= n);
     let (mode, count) = if ones * 2 >= n {

@@ -49,7 +49,6 @@ pub mod compression;
 pub mod markov;
 pub mod mcv;
 pub mod prediction;
-pub mod streaming;
 pub mod suffix;
 pub mod tuple;
 
@@ -256,9 +255,9 @@ impl EstimatorBattery {
 ///
 /// Returns exactly what [`mcv_estimate`], [`collision_estimate`] and
 /// [`markov_estimate`] return (same count arithmetic, same results), but shares a
-/// single validation sweep and counting loop instead of seven passes.  This is the
-/// hot path of the streaming audit's per-window work when the expensive members
-/// run on a sparse cadence, so every-lane deployments lean on it.
+/// single validation sweep and counting loop instead of seven passes.  An audit
+/// lane on a sparse cadence runs only this pass on most windows, so every-lane
+/// deployments lean on it.
 ///
 /// # Errors
 ///

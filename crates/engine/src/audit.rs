@@ -1,14 +1,16 @@
 //! Streaming entropy audit: the SP 800-90B estimator battery checking the ledger.
 //!
 //! The entropy ledger *claims*; this module *checks*.  An [`EntropyAudit`]
-//! accumulates bits into fixed windows and runs the non-IID estimator battery
-//! ([`ptrng_ais::estimators`]) over every completed window, comparing the battery's
-//! assessed min-entropy against a claim — by default the ledger's model-backed
-//! (dependent-jitter-aware) bound, optionally an asserted override such as the
-//! naive independence-assuming bound the paper warns about.  A window whose
-//! estimate falls below `claim − margin` is an **overclaim**: inside the engine it
-//! raises a shard alarm (same severity as a failed continuous health test), and the
-//! `ptrngd validate` subcommand turns it into exit code 3.
+//! accumulates bits into fixed, non-overlapping windows and runs the non-IID
+//! estimator battery ([`ptrng_ais::estimators`]) over every completed window (or,
+//! under a sparse [`AuditCadence`], its counting members plus the last full run's
+//! expensive results), comparing the battery's assessed min-entropy against a
+//! claim — by default the ledger's model-backed (dependent-jitter-aware) bound,
+//! optionally an asserted override such as the naive independence-assuming bound
+//! the paper warns about.  A window whose estimate falls below `claim − margin` is
+//! an **overclaim**: inside the engine it raises a shard alarm (same severity as a
+//! failed continuous health test), and the `ptrngd validate` subcommand turns it
+//! into exit code 3.
 //!
 //! # Margin
 //!
@@ -27,11 +29,8 @@
 
 use std::time::Instant;
 
-use ptrng_ais::estimators::streaming::SlidingWindow;
 use ptrng_ais::estimators::{
-    compression_estimate, counting_estimates, lag_estimate, multi_mcw_estimate,
-    t_tuple_and_lrs_estimates, EstimatorBattery, EstimatorResult, EstimatorTiming,
-    MIN_BATTERY_BITS,
+    counting_estimates, EstimatorBattery, EstimatorResult, EstimatorTiming, MIN_BATTERY_BITS,
 };
 use serde::{Deserialize, Serialize};
 
@@ -44,9 +43,9 @@ pub const DEFAULT_AUDIT_WINDOW_BITS: usize = 1 << 17;
 /// [module docs](self)).
 pub const DEFAULT_AUDIT_MARGIN: f64 = 0.35;
 
-/// Timing label for the incrementally maintained counting members (MCV,
-/// collision, Markov) on a sliding lane — they share one O(1) evaluation, so
-/// they are timed as one unit alongside the per-estimator battery names.
+/// Timing label of a counting-only window: the counting members (MCV,
+/// collision, Markov) run as one fused pass ([`counting_estimates`]), so they
+/// are timed as one unit alongside the per-estimator battery names.
 pub const COUNTER_TIMING_LABEL: &str = "counters";
 
 /// Default expensive-member cadence for `--audit-every-lane` deployments: the
@@ -56,63 +55,37 @@ pub const COUNTER_TIMING_LABEL: &str = "counters";
 /// docs/operations.md for the capacity-planning arithmetic).
 pub const DEFAULT_EVERY_LANE_CADENCE: u32 = 64;
 
-/// How often the expensive battery members recompute on a *sliding* audit lane.
+/// The battery lists its counting members (what [`counting_estimates`]
+/// returns) first; the results after them are the expensive members a
+/// counting-only window reuses.
+const COUNTING_MEMBERS: usize = 3;
+
+/// How often an audit lane runs the full battery.
 ///
-/// A window slide updates the counting members (MCV, collision, Markov) in
-/// O(delta); the remaining members (compression, t-tuple+LRS, MultiMCW, lag)
-/// need the materialized window.  The cadence decides how often they get it —
-/// cached results stand in between recomputations, and the overclaim verdict of
-/// every slide combines the fresh counting estimates with the cached expensive
-/// ones.  The first completed window always runs the full battery.
+/// The counting members (MCV, collision, Markov) are cheap; the remaining
+/// members (compression, t-tuple+LRS, MultiMCW, lag) dominate a window's cost.
+/// A *recompute* window runs the full battery and caches its expensive
+/// results; any other window runs the counting members only and reuses the
+/// cache, so its verdict combines fresh counting estimates with the cached
+/// expensive ones.  The first completed window always recomputes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum AuditCadence {
     /// Every completed window runs the full battery.
     #[default]
     EveryWindow,
-    /// The expensive members recompute on every k-th slide only.
-    EveryKSlides(u32),
+    /// Every k-th completed window runs the full battery.
+    EveryKWindows(u32),
 }
 
 impl AuditCadence {
-    /// Whether the `index`-th completed audit (0-based) recomputes the
-    /// expensive members.  Index 0 — the first completed window — always does.
+    /// Whether the `index`-th completed window (0-based) runs the full
+    /// battery.  Index 0 — the first completed window — always does.
     fn recompute_at(self, index: u64) -> bool {
         match self {
             AuditCadence::EveryWindow => true,
-            AuditCadence::EveryKSlides(k) => index.is_multiple_of(u64::from(k)),
+            AuditCadence::EveryKWindows(k) => index.is_multiple_of(u64::from(k)),
         }
     }
-}
-
-/// Runs the expensive battery members over a materialized window, appending
-/// their per-unit timings; returns the results in specification order
-/// (compression, t-tuple, LRS, MultiMCW, lag).
-fn expensive_members(
-    contents: &[u8],
-    timings: &mut Vec<EstimatorTiming>,
-) -> Result<Vec<EstimatorResult>> {
-    let mut time = |name: &str, start: Instant| {
-        timings.push(EstimatorTiming {
-            name: name.to_string(),
-            ns: start.elapsed().as_nanos() as u64,
-        });
-    };
-    let mut fresh = Vec::with_capacity(5);
-    let start = Instant::now();
-    fresh.push(compression_estimate(contents)?);
-    time("compression", start);
-    let start = Instant::now();
-    let (t_tuple, lrs) = t_tuple_and_lrs_estimates(contents)?;
-    time("t-tuple+lrs", start);
-    fresh.push(t_tuple);
-    fresh.push(lrs);
-    let start = Instant::now();
-    fresh.push(multi_mcw_estimate(contents)?);
-    time("multi-mcw", start);
-    let start = Instant::now();
-    fresh.push(lag_estimate(contents)?);
-    time("lag", start);
-    Ok(fresh)
 }
 
 /// Configuration of a streaming entropy audit.
@@ -131,13 +104,7 @@ pub struct AuditConfig {
     /// it applies to the conditioned lane only, while the raw lane keeps auditing
     /// the raw ledger's own claim.
     pub claim: Option<f64>,
-    /// Bits each window advances by between audits; `None` tumbles (windows
-    /// don't overlap, the historical behavior).  `Some(s)` keeps a sliding
-    /// window and audits every `s` bits once the first window has filled, with
-    /// the counting members updated incrementally.
-    pub slide_bits: Option<usize>,
-    /// Recomputation policy for the expensive members on sliding lanes (ignored
-    /// when `slide_bits` is `None`, where every window runs the full battery).
+    /// Which windows run the full battery.
     pub cadence: AuditCadence,
 }
 
@@ -147,7 +114,6 @@ impl Default for AuditConfig {
             window_bits: DEFAULT_AUDIT_WINDOW_BITS,
             margin: DEFAULT_AUDIT_MARGIN,
             claim: None,
-            slide_bits: None,
             cadence: AuditCadence::default(),
         }
     }
@@ -175,14 +141,7 @@ impl AuditConfig {
         self
     }
 
-    /// Slides the window by `bits` per audit instead of tumbling.
-    #[must_use]
-    pub fn slide_bits(mut self, bits: Option<usize>) -> Self {
-        self.slide_bits = bits;
-        self
-    }
-
-    /// Sets the expensive-member recomputation cadence for sliding lanes.
+    /// Sets how often the full battery runs.
     #[must_use]
     pub fn cadence(mut self, cadence: AuditCadence) -> Self {
         self.cadence = cadence;
@@ -214,21 +173,10 @@ impl AuditConfig {
                 });
             }
         }
-        if let Some(slide) = self.slide_bits {
-            if slide == 0 || slide > self.window_bits {
-                return Err(EngineError::InvalidParameter {
-                    name: "audit.slide_bits",
-                    reason: format!(
-                        "must be in 1..={} (the window size), got {slide}",
-                        self.window_bits
-                    ),
-                });
-            }
-        }
-        if let AuditCadence::EveryKSlides(0) = self.cadence {
+        if let AuditCadence::EveryKWindows(0) = self.cadence {
             return Err(EngineError::InvalidParameter {
                 name: "audit.cadence",
-                reason: "every-k-slides cadence needs k ≥ 1".to_string(),
+                reason: "every-k-windows cadence needs k ≥ 1".to_string(),
             });
         }
         Ok(())
@@ -247,7 +195,7 @@ pub struct WindowAudit {
     /// Every estimator's result over the window.
     pub estimators: Vec<EstimatorResult>,
     /// Wall-clock cost of each battery unit that actually ran for this window
-    /// (cached members on a sliding lane do not reappear here).
+    /// (a counting-only window's cached members do not reappear here).
     pub timings: Vec<EstimatorTiming>,
 }
 
@@ -290,38 +238,6 @@ pub struct AuditReport {
     pub latest: Option<WindowAudit>,
 }
 
-/// Window state of an audit lane: tumbling (historical) or sliding with
-/// incrementally maintained counters.
-#[derive(Debug)]
-enum WindowState {
-    Tumbling {
-        pending: Vec<u8>,
-        /// Whether the sparse cadence applies: a sliding configuration whose
-        /// slide equals the window has tumbling coverage, so the audit keeps the
-        /// cheap append-only buffer instead of paying the per-bit sliding
-        /// machinery, while still honoring the cadence for the expensive
-        /// members.  `false` for a plain tumbling lane (no `slide_bits`), where
-        /// every window runs the full battery.
-        cadenced: bool,
-        /// Completed window audits, driving the cadence.
-        audits: u64,
-        /// Last computed expensive results, specification order: compression,
-        /// t-tuple, LRS, MultiMCW, lag.
-        cached_expensive: Vec<EstimatorResult>,
-    },
-    Sliding {
-        window: SlidingWindow,
-        slide_bits: usize,
-        /// Bits absorbed since the last audit boundary (once the window filled).
-        fill: usize,
-        /// Completed slide audits, driving the cadence.
-        slides: u64,
-        /// Last computed expensive results, specification order: compression,
-        /// t-tuple, LRS, MultiMCW, lag.
-        cached_expensive: Vec<EstimatorResult>,
-    },
-}
-
 /// Streaming audit accumulator: feed bits (or packed bytes), get per-window
 /// battery verdicts against a fixed claim.
 #[derive(Debug)]
@@ -329,7 +245,11 @@ pub struct EntropyAudit {
     lane: String,
     claim: f64,
     config: AuditConfig,
-    state: WindowState,
+    /// Bits of the window being filled.
+    pending: Vec<u8>,
+    /// The last full battery's expensive results, specification order:
+    /// compression, t-tuple, LRS, MultiMCW, lag.
+    cached_expensive: Vec<EstimatorResult>,
     windows: u64,
     overclaims: u64,
     latest: Option<WindowAudit>,
@@ -352,34 +272,12 @@ impl EntropyAudit {
                 reason: format!("must be in (0, 1] for binary output, got {claim}"),
             });
         }
-        let state = match config.slide_bits {
-            None => WindowState::Tumbling {
-                pending: Vec::new(),
-                cadenced: false,
-                audits: 0,
-                cached_expensive: Vec::new(),
-            },
-            // A slide of one full window is tumbling coverage: keep the cheap
-            // append-only buffer and apply the cadence to the expensive members.
-            Some(slide_bits) if slide_bits == config.window_bits => WindowState::Tumbling {
-                pending: Vec::new(),
-                cadenced: true,
-                audits: 0,
-                cached_expensive: Vec::new(),
-            },
-            Some(slide_bits) => WindowState::Sliding {
-                window: SlidingWindow::new(config.window_bits)?,
-                slide_bits,
-                fill: 0,
-                slides: 0,
-                cached_expensive: Vec::new(),
-            },
-        };
         Ok(Self {
             lane: lane.to_string(),
             claim,
             config,
-            state,
+            pending: Vec::new(),
+            cached_expensive: Vec::new(),
             windows: 0,
             overclaims: 0,
             latest: None,
@@ -418,47 +316,16 @@ impl EntropyAudit {
     ///
     /// Returns an error when the input contains non-bit values.
     pub fn observe_bits(&mut self, bits: &[u8]) -> Result<Option<&WindowAudit>> {
+        let window_bits = self.config.window_bits;
         let mut completed = false;
         let mut offset = 0usize;
         while offset < bits.len() {
-            let window_bits = self.config.window_bits;
-            let boundary = match &mut self.state {
-                WindowState::Tumbling { pending, .. } => {
-                    let take = (window_bits - pending.len()).min(bits.len() - offset);
-                    pending.extend_from_slice(&bits[offset..offset + take]);
-                    offset += take;
-                    pending.len() == window_bits
-                }
-                WindowState::Sliding {
-                    window,
-                    slide_bits,
-                    fill,
-                    ..
-                } => {
-                    let needed = if window.is_full() {
-                        *slide_bits - *fill
-                    } else {
-                        window_bits - window.len()
-                    };
-                    let was_full = window.is_full();
-                    let take = needed.min(bits.len() - offset);
-                    window.push_bits(&bits[offset..offset + take])?;
-                    offset += take;
-                    if was_full {
-                        *fill += take;
-                        if *fill == *slide_bits {
-                            *fill = 0;
-                            true
-                        } else {
-                            false
-                        }
-                    } else {
-                        window.is_full()
-                    }
-                }
-            };
-            if boundary {
-                self.audit_window()?;
+            let take = (window_bits - self.pending.len()).min(bits.len() - offset);
+            self.pending.extend_from_slice(&bits[offset..offset + take]);
+            offset += take;
+            if self.pending.len() == window_bits {
+                let window = std::mem::take(&mut self.pending);
+                self.audit_window(&window)?;
                 completed = true;
             }
         }
@@ -485,94 +352,37 @@ impl EntropyAudit {
     ///
     /// Returns an error when the remainder fails to assess.
     pub fn finalize(&mut self) -> Result<Option<&WindowAudit>> {
-        match &mut self.state {
-            WindowState::Tumbling { pending, .. } => {
-                if pending.len() >= MIN_BATTERY_BITS {
-                    let remainder = std::mem::take(pending);
-                    self.record_full_battery(&remainder)?;
-                    return Ok(self.latest.as_ref());
-                }
-                pending.clear();
-            }
-            WindowState::Sliding { window, fill, .. } => {
-                // Unaudited tail: either the window never filled (but holds
-                // enough bits), or bits arrived since the last slide boundary.
-                if window.len() >= MIN_BATTERY_BITS && (*fill > 0 || self.windows == 0) {
-                    let contents = window.contents();
-                    *fill = 0;
-                    self.record_full_battery(&contents)?;
-                    return Ok(self.latest.as_ref());
-                }
-            }
+        if self.pending.len() >= MIN_BATTERY_BITS {
+            let remainder = std::mem::take(&mut self.pending);
+            self.record_full_battery(&remainder)?;
+            return Ok(self.latest.as_ref());
         }
+        self.pending.clear();
         Ok(None)
     }
 
-    /// Runs one audit at a window boundary: the full battery on a tumbling lane,
-    /// the incremental counters plus cadence-gated expensive members on a
-    /// sliding one.
-    fn audit_window(&mut self) -> Result<()> {
-        let cadence = self.config.cadence;
-        match &mut self.state {
-            WindowState::Tumbling {
-                pending,
-                cadenced: false,
-                ..
-            } => {
-                let window = std::mem::take(pending);
-                self.record_full_battery(&window)
-            }
-            WindowState::Tumbling {
-                pending,
-                cadenced: true,
-                audits,
-                cached_expensive,
-            } => {
-                let window = std::mem::take(pending);
-                let start = Instant::now();
-                let cheap = counting_estimates(&window)?;
-                let mut timings = vec![EstimatorTiming {
-                    name: COUNTER_TIMING_LABEL.to_string(),
-                    ns: start.elapsed().as_nanos() as u64,
-                }];
-                if cadence.recompute_at(*audits) {
-                    *cached_expensive = expensive_members(&window, &mut timings)?;
-                }
-                *audits += 1;
-                // Specification order: mcv, collision, markov, then the cache.
-                let mut results = cheap;
-                results.extend(cached_expensive.iter().cloned());
-                self.record_window(results, timings);
-                Ok(())
-            }
-            WindowState::Sliding {
-                window,
-                slides,
-                cached_expensive,
-                ..
-            } => {
-                let start = Instant::now();
-                let cheap = window.cheap_results()?;
-                let mut timings = vec![EstimatorTiming {
-                    name: COUNTER_TIMING_LABEL.to_string(),
-                    ns: start.elapsed().as_nanos() as u64,
-                }];
-                if cadence.recompute_at(*slides) {
-                    *cached_expensive = expensive_members(&window.contents(), &mut timings)?;
-                }
-                *slides += 1;
-                // Specification order: mcv, collision, markov, then the cache.
-                let mut results = cheap;
-                results.extend(cached_expensive.iter().cloned());
-                self.record_window(results, timings);
-                Ok(())
-            }
+    /// Audits one completed window: the full battery on a recompute window,
+    /// otherwise the counting members plus the cached expensive results.
+    fn audit_window(&mut self, window: &[u8]) -> Result<()> {
+        if self.config.cadence.recompute_at(self.windows) {
+            return self.record_full_battery(window);
         }
+        let start = Instant::now();
+        let mut results = counting_estimates(window)?;
+        let timings = vec![EstimatorTiming {
+            name: COUNTER_TIMING_LABEL.to_string(),
+            ns: start.elapsed().as_nanos() as u64,
+        }];
+        results.extend(self.cached_expensive.iter().cloned());
+        self.record_window(results, timings);
+        Ok(())
     }
 
     fn record_full_battery(&mut self, window: &[u8]) -> Result<()> {
         let (battery, timings) = EstimatorBattery::run_with_timings(window)?;
-        self.record_window(battery.results().to_vec(), timings);
+        let results = battery.results().to_vec();
+        self.cached_expensive = results[COUNTING_MEMBERS..].to_vec();
+        self.record_window(results, timings);
         Ok(())
     }
 
@@ -642,6 +452,7 @@ impl EntropyAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptrng_ais::estimators::BATTERY_UNIT_NAMES;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -722,196 +533,59 @@ mod tests {
         assert!(EntropyAudit::new("x", 1.0, AuditConfig::default().margin(1.5)).is_err());
         assert!(EntropyAudit::new("x", 0.0, AuditConfig::default()).is_err());
         assert!(EntropyAudit::new("x", 1.0, AuditConfig::default().claim(Some(2.0))).is_err());
-        assert!(EntropyAudit::new("x", 1.0, AuditConfig::default().slide_bits(Some(0))).is_err());
         assert!(EntropyAudit::new(
             "x",
             1.0,
-            AuditConfig::default()
-                .window_bits(1 << 14)
-                .slide_bits(Some(1 << 15))
+            AuditConfig::default().cadence(AuditCadence::EveryKWindows(0))
         )
         .is_err());
-        assert!(EntropyAudit::new(
-            "x",
-            1.0,
-            AuditConfig::default().cadence(AuditCadence::EveryKSlides(0))
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn sliding_first_window_matches_a_tumbling_audit() {
-        let data = bits(1 << 14, 0.5, 10);
-        let mut tumbling = EntropyAudit::new(
-            "raw",
-            1.0,
-            AuditConfig::default().window_bits(1 << 14).margin(0.5),
-        )
-        .unwrap();
-        let mut sliding = EntropyAudit::new(
-            "raw",
-            1.0,
-            AuditConfig::default()
-                .window_bits(1 << 14)
-                .margin(0.5)
-                .slide_bits(Some(1 << 12)),
-        )
-        .unwrap();
-        tumbling.observe_bits(&data).unwrap();
-        sliding.observe_bits(&data).unwrap();
-        let t = tumbling.latest().unwrap();
-        let s = sliding.latest().unwrap();
-        assert_eq!(t.weakest, s.weakest);
-        assert_eq!(t.estimators.len(), s.estimators.len());
-        for (a, b) in t.estimators.iter().zip(&s.estimators) {
-            assert_eq!(a.name, b.name);
-            assert!(
-                (a.h_per_bit - b.h_per_bit).abs() < 1e-6,
-                "{}: {} vs {}",
-                a.name,
-                a.detail,
-                b.detail
-            );
-        }
     }
 
     #[test]
     fn slide_of_one_window_keeps_tumbling_coverage_under_the_cadence() {
-        // slide == window is tumbling coverage: the audit skips the per-bit
-        // sliding machinery but still audits every window, recomputing the
-        // expensive members on the cadence only.
-        let config = AuditConfig::default()
-            .window_bits(1 << 14)
-            .margin(0.5)
-            .slide_bits(Some(1 << 14))
-            .cadence(AuditCadence::EveryKSlides(4));
-        let mut audit = EntropyAudit::new("raw", 1.0, config).unwrap();
+        // A k = 4 lane and an every-window lane audit the same five windows:
+        // windows 0 and 4 recompute the full battery and match the every-window
+        // lane exactly; windows 1–3 run the counting members only and reuse the
+        // expensive results cached at window 0.
+        let config = AuditConfig::default().window_bits(1 << 14).margin(0.5);
+        let mut every = EntropyAudit::new("raw", 1.0, config.clone()).unwrap();
+        let mut cadenced =
+            EntropyAudit::new("raw", 1.0, config.cadence(AuditCadence::EveryKWindows(4))).unwrap();
         let data = bits(5 << 14, 0.5, 21);
-        audit.observe_bits(&data).unwrap();
-        assert_eq!(audit.windows(), 5);
-        // Window 5 (index 4) recomputed, so the latest window carries fresh
-        // expensive timings alongside the counter trio.
-        let latest = audit.latest().unwrap();
-        assert_eq!(latest.estimators.len(), 8);
-        assert!(latest
-            .timings
-            .iter()
-            .any(|t| t.name == COUNTER_TIMING_LABEL));
-        assert!(latest.timings.iter().any(|t| t.name == "compression"));
-
-        // Between recomputes only the counter trio is evaluated; the verdict
-        // still covers all eight estimators through the cache.
-        let mut sparse = EntropyAudit::new(
-            "raw",
-            1.0,
-            AuditConfig::default()
-                .window_bits(1 << 14)
-                .margin(0.5)
-                .slide_bits(Some(1 << 14))
-                .cadence(AuditCadence::EveryKSlides(1000)),
-        )
-        .unwrap();
-        sparse.observe_bits(&data).unwrap();
-        let cached = sparse.latest().unwrap();
-        assert_eq!(cached.estimators.len(), 8);
-        assert_eq!(cached.timings.len(), 1, "{:?}", cached.timings);
-        assert_eq!(cached.timings[0].name, COUNTER_TIMING_LABEL);
-
-        // The first window matches a plain tumbling full battery exactly — the
-        // counting members are the very same batch estimators.
-        let mut tumbling = EntropyAudit::new(
-            "raw",
-            1.0,
-            AuditConfig::default().window_bits(1 << 14).margin(0.5),
-        )
-        .unwrap();
-        tumbling.observe_bits(&data[..1 << 14]).unwrap();
-        let mut first = EntropyAudit::new(
-            "raw",
-            1.0,
-            AuditConfig::default()
-                .window_bits(1 << 14)
-                .margin(0.5)
-                .slide_bits(Some(1 << 14))
-                .cadence(AuditCadence::EveryKSlides(4)),
-        )
-        .unwrap();
-        first.observe_bits(&data[..1 << 14]).unwrap();
-        let t = tumbling.latest().unwrap();
-        let f = first.latest().unwrap();
-        assert_eq!(t.estimators.len(), f.estimators.len());
-        for (a, b) in t.estimators.iter().zip(&f.estimators) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.h_per_bit, b.h_per_bit, "{}: exact match expected", a.name);
+        let (mut full, mut counting) = (0, 0);
+        let mut cached = Vec::new();
+        for window in data.chunks(1 << 14) {
+            let e = every.observe_bits(window).unwrap().unwrap().clone();
+            let c = cadenced.observe_bits(window).unwrap().unwrap().clone();
+            assert_eq!(c.estimators.len(), 8);
+            let names: Vec<&str> = c.timings.iter().map(|t| t.name.as_str()).collect();
+            if names == [COUNTER_TIMING_LABEL] {
+                counting += 1;
+                assert_eq!(c.estimators[..3], e.estimators[..3]);
+                assert_eq!(c.estimators[3..], cached[..]);
+            } else {
+                full += 1;
+                assert_eq!(names, BATTERY_UNIT_NAMES);
+                assert_eq!(c.estimators, e.estimators);
+                assert_eq!(c.estimate, e.estimate);
+                cached = e.estimators[3..].to_vec();
+            }
         }
-    }
-
-    #[test]
-    fn sliding_lane_audits_every_slide_and_caches_expensive_members() {
-        let config = AuditConfig::default()
-            .window_bits(1 << 14)
-            .margin(0.5)
-            .slide_bits(Some(1 << 12))
-            .cadence(AuditCadence::EveryKSlides(4));
-        let mut audit = EntropyAudit::new("raw", 1.0, config).unwrap();
-        // First window fills after 2^14 bits, then a boundary every 2^12 bits.
-        audit.observe_bits(&bits(1 << 14, 0.5, 11)).unwrap();
-        assert_eq!(audit.windows(), 1);
-        // The first window always runs the full battery.
-        let names: Vec<&str> = audit
-            .latest()
-            .unwrap()
-            .timings
-            .iter()
-            .map(|t| t.name.as_str())
-            .collect();
-        assert!(names.contains(&COUNTER_TIMING_LABEL), "{names:?}");
-        assert!(names.contains(&"compression"), "{names:?}");
-        // The next three slides serve cached expensive members (cheap only).
-        for expected_windows in 2..=4u64 {
-            audit
-                .observe_bits(&bits(1 << 12, 0.5, expected_windows))
-                .unwrap();
-            assert_eq!(audit.windows(), expected_windows);
-            let timings = &audit.latest().unwrap().timings;
-            assert_eq!(timings.len(), 1, "{timings:?}");
-            assert_eq!(timings[0].name, COUNTER_TIMING_LABEL);
-            assert_eq!(audit.latest().unwrap().estimators.len(), 8);
-        }
-        // The 4th slide (5th window) recomputes.
-        audit.observe_bits(&bits(1 << 12, 0.5, 12)).unwrap();
-        assert_eq!(audit.windows(), 5);
-        assert!(audit.latest().unwrap().timings.len() > 1);
+        assert_eq!((full, counting), (2, 3));
+        assert_eq!(cadenced.windows(), 5);
     }
 
     #[test]
     fn sliding_lane_catches_an_overclaim_with_cached_members() {
-        // p = 0.95 bits against a 0.9 claim: the counting members alone refute it
-        // on every slide, cached expensive members notwithstanding.
+        // p = 0.95 bits against a 0.9 claim: the counting members alone refute
+        // it on every window, cached expensive members notwithstanding.
         let config = AuditConfig::default()
             .window_bits(1 << 14)
             .claim(Some(0.9))
-            .slide_bits(Some(1 << 12))
-            .cadence(AuditCadence::EveryKSlides(1000));
+            .cadence(AuditCadence::EveryKWindows(1000));
         let mut audit = EntropyAudit::new("raw", 0.074, config).unwrap();
         audit.observe_bits(&bits(1 << 15, 0.95, 13)).unwrap();
-        assert!(audit.overclaimed());
-        assert!(audit.overclaims() >= 2, "every slide flags independently");
-    }
-
-    #[test]
-    fn sliding_finalize_audits_the_unseen_tail() {
-        let config = AuditConfig::default()
-            .window_bits(1 << 14)
-            .margin(0.5)
-            .slide_bits(Some(1 << 13));
-        let mut audit = EntropyAudit::new("raw", 1.0, config).unwrap();
-        // Not enough to fill the window, but enough for the battery.
-        audit.observe_bits(&bits(3 << 12, 0.5, 14)).unwrap();
-        assert_eq!(audit.windows(), 0);
-        assert!(audit.finalize().unwrap().is_some());
-        assert_eq!(audit.windows(), 1);
-        // Nothing new since: finalize is idempotent.
-        assert!(audit.finalize().unwrap().is_none());
+        assert_eq!(audit.windows(), 2);
+        assert_eq!(audit.overclaims(), 2, "every window flags independently");
     }
 }

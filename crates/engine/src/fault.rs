@@ -215,28 +215,32 @@ impl FaultPlan {
     }
 }
 
-/// Parses a byte size with optional `b`/`kib`/`mib`/`gib` suffix.
+/// Parses a human-friendly byte size: `4096`, `64KiB`, `1MiB`, `2GiB` — the
+/// grammar of every size flag on `ptrngd` and `ptrng-serve`.
 ///
-/// Local to this crate so the engine does not depend on the CLI layer's parser.
-fn parse_size(text: &str) -> std::result::Result<u64, String> {
-    let lower = text.to_ascii_lowercase();
-    let (digits, unit) = match lower.strip_suffix("gib") {
-        Some(d) => (d, 1u64 << 30),
-        None => match lower.strip_suffix("mib") {
-            Some(d) => (d, 1 << 20),
-            None => match lower.strip_suffix("kib") {
-                Some(d) => (d, 1 << 10),
-                None => (lower.strip_suffix('b').unwrap_or(&lower), 1),
-            },
-        },
+/// # Errors
+///
+/// Returns a usage message for malformed or overflowing sizes.
+pub fn parse_size(text: &str) -> std::result::Result<u64, String> {
+    let lower = text.trim().to_ascii_lowercase();
+    let lower = lower.as_str();
+    let (digits, multiplier) = if let Some(d) = lower.strip_suffix("gib") {
+        (d, 1u64 << 30)
+    } else if let Some(d) = lower.strip_suffix("mib") {
+        (d, 1u64 << 20)
+    } else if let Some(d) = lower.strip_suffix("kib") {
+        (d, 1u64 << 10)
+    } else if let Some(d) = lower.strip_suffix('b') {
+        (d, 1)
+    } else {
+        (lower, 1)
     };
-    let value: u64 = digits
+    digits
         .trim()
-        .parse()
-        .map_err(|_| format!("invalid size `{text}` (expected e.g. 4096, 64KiB, 2MiB)"))?;
-    value
-        .checked_mul(unit)
-        .ok_or_else(|| format!("size `{text}` overflows"))
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(multiplier))
+        .ok_or_else(|| format!("invalid size `{text}` (expected e.g. 4096, 512KiB, 1MiB)"))
 }
 
 /// An [`EntropySource`] decorator executing one [`FaultPlan`].

@@ -34,8 +34,8 @@ pub struct Observatory {
     /// One histogram per conditioning stage, labelled by the stage's own label.
     stage_ns: Vec<(String, Arc<LogLinearHistogram>)>,
     audit_ns: Arc<LogLinearHistogram>,
-    /// One histogram per battery unit (plus the sliding-lane counter unit),
-    /// decomposing `audit_ns` per estimator.
+    /// One histogram per battery unit (plus the counting-only window's
+    /// `counters` unit), decomposing `audit_ns` per estimator.
     estimator_ns: Vec<(String, Arc<LogLinearHistogram>)>,
     tap_wait_ns: Arc<LogLinearHistogram>,
     drbg_reseed_ns: Arc<LogLinearHistogram>,

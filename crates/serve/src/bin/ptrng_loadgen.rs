@@ -1,11 +1,8 @@
 //! `ptrng-loadgen` — concurrency load generation against a running entropy server.
 //!
 //! ```text
-//! # 512 simultaneous keep-alive clients, 2 requests each (closed loop):
+//! # 512 simultaneous keep-alive clients, 2 requests each:
 //! ptrng-loadgen --target 127.0.0.1:7878 --path "/random?bytes=4096" --connections 512
-//!
-//! # 200 arrivals/s for 10 s, fresh connection each (open loop):
-//! ptrng-loadgen --target 127.0.0.1:7878 --open --rate 200 --duration 10
 //! ```
 //!
 //! Prints one JSON report to stdout and exits 0 only when the run passed: every
@@ -13,9 +10,8 @@
 //! smoke is just this bin's exit code.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
-use ptrng_serve::loadgen::{run, LoadgenConfig, Mode};
+use ptrng_serve::loadgen::{run, LoadgenConfig};
 
 const USAGE: &str = "\
 ptrng-loadgen — concurrency load generation against a running entropy server
@@ -26,13 +22,9 @@ USAGE:
 OPTIONS:
   --target HOST:PORT   server address (required)
   --path PATH          request path+query        [default: /random?bytes=4096]
-  --connections N      concurrent connections (closed) / workers (open)
-                                                 [default: 256]
-  --requests N         keep-alive requests per connection, closed loop
+  --connections N      concurrent connections    [default: 256]
+  --requests N         keep-alive requests per connection
                                                  [default: 2]
-  --open               open-loop mode: scheduled arrivals, fresh connections
-  --rate R             open-loop arrivals per second          [default: 100]
-  --duration SECS      open-loop scheduling horizon           [default: 5]
   -h, --help           this help
 
 EXIT STATUS:
@@ -46,9 +38,6 @@ fn parse(argv: &[String]) -> Result<LoadgenConfig, String> {
     let mut path = "/random?bytes=4096".to_string();
     let mut connections = 256usize;
     let mut requests = 2usize;
-    let mut open = false;
-    let mut rate = 100.0f64;
-    let mut duration = Duration::from_secs(5);
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| -> Result<&String, String> {
@@ -67,18 +56,6 @@ fn parse(argv: &[String]) -> Result<LoadgenConfig, String> {
                     .parse()
                     .map_err(|_| "--requests must be a positive integer".to_string())?;
             }
-            "--open" => open = true,
-            "--rate" => {
-                rate = value("--rate")?
-                    .parse()
-                    .map_err(|_| "--rate must be a number".to_string())?;
-            }
-            "--duration" => {
-                let secs: f64 = value("--duration")?
-                    .parse()
-                    .map_err(|_| "--duration must be seconds".to_string())?;
-                duration = Duration::from_secs_f64(secs);
-            }
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -87,22 +64,11 @@ fn parse(argv: &[String]) -> Result<LoadgenConfig, String> {
     if connections == 0 || requests == 0 {
         return Err("--connections and --requests must be at least 1".to_string());
     }
-    if open && (!rate.is_finite() || rate <= 0.0) {
-        return Err("--rate must be positive".to_string());
-    }
     Ok(LoadgenConfig {
         target,
         path,
         connections,
         requests_per_conn: requests,
-        mode: if open {
-            Mode::Open {
-                rate_per_sec: rate,
-                duration,
-            }
-        } else {
-            Mode::Closed
-        },
     })
 }
 

@@ -23,6 +23,8 @@ use ptrng_engine::source::SourceSpec;
 use ptrng_engine::EngineError;
 use ptrng_obs::{Journal, ObsClock, TextEncoder};
 
+pub use ptrng_engine::fault::parse_size;
+
 use crate::server::{RateLimit, ServeConfig, Server};
 
 /// Usage text of the streaming mode (`ptrngd`).
@@ -51,7 +53,6 @@ OPTIONS:
     --batch-bits N      raw bits per batch per shard              [default: 8192]
     --conditioner C     conditioning chain: none, or comma-separated stages of
                         xor:K | vn | sha256[:RATIO]               [default: none]
-                        (--post is accepted as a deprecated alias)
     --min-h H           refuse emission when the accounted min-entropy per
                         conditioned output bit falls below H (0 < H <= 1)
     --no-startup        skip the FIPS 140-2 startup battery
@@ -178,33 +179,6 @@ EXIT CODES:
     3  overclaim: the battery refuted the claim on at least one window
 ";
 
-/// Parses a human-friendly byte size: `4096`, `64KiB`, `1MiB`, `2GiB`.
-///
-/// # Errors
-///
-/// Returns a usage message for malformed or overflowing sizes.
-pub fn parse_size(text: &str) -> Result<u64, String> {
-    let lower = text.trim().to_ascii_lowercase();
-    let lower = lower.as_str();
-    let (digits, multiplier) = if let Some(d) = lower.strip_suffix("gib") {
-        (d, 1u64 << 30)
-    } else if let Some(d) = lower.strip_suffix("mib") {
-        (d, 1u64 << 20)
-    } else if let Some(d) = lower.strip_suffix("kib") {
-        (d, 1u64 << 10)
-    } else if let Some(d) = lower.strip_suffix('b') {
-        (d, 1)
-    } else {
-        (lower, 1)
-    };
-    digits
-        .trim()
-        .parse::<u64>()
-        .ok()
-        .and_then(|n| n.checked_mul(multiplier))
-        .ok_or_else(|| format!("invalid size `{text}` (expected e.g. 4096, 512KiB, 1MiB)"))
-}
-
 /// The engine flags shared by every front-end.
 #[derive(Debug, Clone)]
 pub struct EngineArgs {
@@ -283,7 +257,7 @@ impl EngineArgs {
                     .parse()
                     .map_err(|_| "invalid --batch-bits".to_string())?;
             }
-            "--conditioner" | "--post" => {
+            "--conditioner" => {
                 self.conditioner = ConditionerSpec::parse(&flag_value(it, "--conditioner")?)
                     .map_err(|e| e.to_string())?;
             }
@@ -339,12 +313,10 @@ impl EngineArgs {
             .fault(fault);
         if self.audit_every_lane {
             // Every lane pays for its own battery, so the expensive members run
-            // on a sparse cadence: the default window slides by its own length
-            // (tumbling coverage) with the counting members refreshed every
-            // window and the rest every DEFAULT_EVERY_LANE_CADENCE windows.
+            // on a sparse cadence: the counting members refresh every window and
+            // the full battery runs every DEFAULT_EVERY_LANE_CADENCE windows.
             let audit = AuditConfig::default()
-                .slide_bits(Some(DEFAULT_AUDIT_WINDOW_BITS))
-                .cadence(AuditCadence::EveryKSlides(DEFAULT_EVERY_LANE_CADENCE));
+                .cadence(AuditCadence::EveryKWindows(DEFAULT_EVERY_LANE_CADENCE));
             config = config.audit(Some(audit)).audit_every_lane(true);
         }
         Ok(config)
@@ -560,8 +532,12 @@ impl ServeCliArgs {
         config.chunk_bytes = self.chunk;
         config.max_connections = self.max_conns;
         config.per_ip_connections = self.per_ip_conns;
-        config.header_timeout = self.header_timeout;
-        config.idle_timeout = self.idle_timeout;
+        if let Some(header_timeout) = self.header_timeout {
+            config.header_timeout = header_timeout;
+        }
+        if let Some(idle_timeout) = self.idle_timeout {
+            config.idle_timeout = idle_timeout;
+        }
         if let Some(write_timeout) = self.write_timeout {
             config.write_timeout = write_timeout;
         }
@@ -779,7 +755,7 @@ struct ValidateArgs {
 fn parse_validate(argv: &[String]) -> Result<Option<ValidateArgs>, String> {
     let mut args = ValidateArgs {
         engine: EngineArgs::default(),
-        audit_bits: ptrng_engine::audit::DEFAULT_AUDIT_WINDOW_BITS,
+        audit_bits: DEFAULT_AUDIT_WINDOW_BITS,
         windows: 1,
         margin: DEFAULT_AUDIT_MARGIN,
         claim: None,
@@ -1072,8 +1048,8 @@ mod tests {
         assert_eq!(config.chunk_bytes, 16 << 10);
         assert_eq!(config.max_connections, 512);
         assert_eq!(config.per_ip_connections, 8);
-        assert_eq!(config.header_timeout, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(config.idle_timeout, Some(Duration::from_secs(30)));
+        assert_eq!(config.header_timeout, Duration::from_secs_f64(2.5));
+        assert_eq!(config.idle_timeout, Duration::from_secs(30));
         assert_eq!(config.write_timeout, Duration::from_secs(7));
         let rate = config.rate_limit.unwrap();
         assert_eq!(rate.bytes_per_sec, 256 << 10);
@@ -1086,8 +1062,8 @@ mod tests {
         let config = args.serve_config().unwrap();
         assert_eq!(config.max_connections, 1024);
         assert_eq!(config.per_ip_connections, 0, "per-IP gate off by default");
-        assert_eq!(config.header_timeout, None, "falls back to read_timeout");
-        assert_eq!(config.idle_timeout, None, "falls back to read_timeout");
+        assert_eq!(config.header_timeout, Duration::from_secs(5));
+        assert_eq!(config.idle_timeout, Duration::from_secs(5));
         assert_eq!(config.write_timeout, Duration::from_secs(10));
         assert!(parse_serve(&argv(&["--header-timeout", "0"])).is_err());
         assert!(parse_serve(&argv(&["--write-timeout", "-1"])).is_err());
@@ -1097,6 +1073,7 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected_with_usage_hints() {
         assert!(parse_generate(&argv(&["--bogus"])).is_err());
+        assert!(parse_generate(&argv(&["--post", "vn"])).is_err());
         assert!(parse_serve(&argv(&["--budget", "1MiB"]))
             .unwrap_err()
             .contains("unknown argument"));
@@ -1186,10 +1163,9 @@ mod tests {
         assert!(config.audit_every_lane);
         let audit = config.audit.expect("the flag enables the engine audit");
         assert_eq!(audit.window_bits, DEFAULT_AUDIT_WINDOW_BITS);
-        assert_eq!(audit.slide_bits, Some(DEFAULT_AUDIT_WINDOW_BITS));
         assert_eq!(
             audit.cadence,
-            AuditCadence::EveryKSlides(DEFAULT_EVERY_LANE_CADENCE)
+            AuditCadence::EveryKWindows(DEFAULT_EVERY_LANE_CADENCE)
         );
 
         // The server front-end shares the flag through the same engine parser.

@@ -19,7 +19,7 @@
 //!
 //! * `ptrngd` — the streaming daemon (stdout/file sink), plus `ptrngd serve`,
 //! * `ptrng-serve` — the HTTP server (same flags as `ptrngd serve`),
-//! * `ptrng-loadgen` — open/closed-loop concurrent load against a running server.
+//! * `ptrng-loadgen` — closed-loop concurrent load against a running server.
 //!
 //! See `docs/architecture.md` for where the server sits in the dataflow and
 //! `docs/operations.md` for the runbook (flags, status codes, capacity planning).

@@ -1,16 +1,11 @@
 //! Concurrency load generation against a running entropy server — the library
-//! behind the `ptrng-loadgen` bin and the `serve_concurrency` bench block.
+//! behind the `ptrng-loadgen` bin.
 //!
-//! Two modes, the two halves of a serving-plane story:
-//!
-//! * **Closed loop** ([`Mode::Closed`]) — `connections` clients all connect, rendezvous
-//!   on a barrier (so the target provably holds that many sockets *simultaneously*),
-//!   then each issues `requests_per_conn` keep-alive requests back-to-back.  This
-//!   measures the concurrent-connection ceiling and per-request service latency.
-//! * **Open loop** ([`Mode::Open`]) — arrivals are scheduled at a fixed rate on the
-//!   clock and each gets a fresh connection; latency is measured from the *scheduled*
-//!   arrival, not the actual send, so a slow server cannot hide queueing delay by
-//!   slowing the generator down (no coordinated omission).
+//! The load is a closed loop: `connections` clients all connect, rendezvous on a
+//! barrier (so the target provably holds that many sockets *simultaneously*), then
+//! each issues `requests_per_conn` keep-alive requests back-to-back.  This measures
+//! the concurrent-connection ceiling and per-request service latency.  Open-loop
+//! load (arrivals at a fixed rate) is perfbench's `random-small` workload.
 //!
 //! The client is a deliberately minimal HTTP/1.1 reader (status line, headers,
 //! `Content-Length` or chunked framing) — enough to drive the server it ships with,
@@ -25,21 +20,6 @@ use std::time::{Duration, Instant};
 
 use ptrng_obs::LogLinearHistogram;
 
-/// What load to offer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Mode {
-    /// Every connection rendezvouses, then issues its requests back-to-back.
-    Closed,
-    /// Arrivals scheduled at `rate_per_sec` for `duration`, one fresh
-    /// connection each, serviced by a pool of `connections` workers.
-    Open {
-        /// Scheduled arrivals per second.
-        rate_per_sec: f64,
-        /// How long to keep scheduling arrivals.
-        duration: Duration,
-    },
-}
-
 /// Configuration of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -47,24 +27,21 @@ pub struct LoadgenConfig {
     pub target: String,
     /// Request path with query, e.g. `/random?bytes=4096`.
     pub path: String,
-    /// Concurrent connections (closed loop) or worker pool size (open loop).
+    /// Concurrent connections.
     pub connections: usize,
-    /// Keep-alive requests per connection (closed loop; open loop sends one).
+    /// Keep-alive requests per connection.
     pub requests_per_conn: usize,
-    /// Closed or open loop.
-    pub mode: Mode,
 }
 
 impl LoadgenConfig {
-    /// A closed-loop run: `connections` simultaneous clients, `requests_per_conn`
-    /// keep-alive requests each.
+    /// A run of `connections` simultaneous clients, two keep-alive requests
+    /// each.
     pub fn closed(target: impl Into<String>, path: impl Into<String>, connections: usize) -> Self {
         Self {
             target: target.into(),
             path: path.into(),
             connections,
             requests_per_conn: 2,
-            mode: Mode::Closed,
         }
     }
 }
@@ -72,9 +49,9 @@ impl LoadgenConfig {
 /// Aggregated outcome of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Connections asked for (closed loop) / workers (open loop).
+    /// Connections asked for.
     pub connections: usize,
-    /// Connections that connected and reached the rendezvous (closed loop).
+    /// Connections that connected and reached the rendezvous.
     pub connected: usize,
     /// Requests that completed with a parsed response.
     pub requests: u64,
@@ -159,17 +136,6 @@ impl Counters {
     }
 }
 
-/// Runs one load test to completion and reports.
-pub fn run(config: &LoadgenConfig) -> LoadReport {
-    match config.mode {
-        Mode::Closed => closed_loop(config),
-        Mode::Open {
-            rate_per_sec,
-            duration,
-        } => open_loop(config, rate_per_sec, duration),
-    }
-}
-
 fn client_threads<F>(count: usize, work: F) -> Vec<std::thread::JoinHandle<()>>
 where
     F: Fn(usize) + Send + Sync + 'static,
@@ -206,7 +172,8 @@ fn connect_with_retry(target: &str) -> std::io::Result<TcpStream> {
     Err(last.expect("at least one attempt"))
 }
 
-fn closed_loop(config: &LoadgenConfig) -> LoadReport {
+/// Runs one load test to completion and reports.
+pub fn run(config: &LoadgenConfig) -> LoadReport {
     let histogram = Arc::new(LogLinearHistogram::new());
     let counters = Arc::new(Counters::default());
     // +1: the parent joins the rendezvous to start the clock at release time.
@@ -257,51 +224,6 @@ fn closed_loop(config: &LoadgenConfig) -> LoadReport {
         let _ = thread.join();
     }
     report(config, &counters, &histogram, released.elapsed())
-}
-
-fn open_loop(config: &LoadgenConfig, rate_per_sec: f64, duration: Duration) -> LoadReport {
-    let histogram = Arc::new(LogLinearHistogram::new());
-    let counters = Arc::new(Counters::default());
-    let arrivals = (rate_per_sec * duration.as_secs_f64()).floor().max(1.0) as usize;
-    let interval = Duration::from_secs_f64(1.0 / rate_per_sec.max(f64::MIN_POSITIVE));
-    let next = Arc::new(AtomicUsize::new(0));
-    let epoch = Instant::now();
-    let threads = {
-        let target = config.target.clone();
-        let path = config.path.clone();
-        let histogram = Arc::clone(&histogram);
-        let counters = Arc::clone(&counters);
-        let next = Arc::clone(&next);
-        client_threads(config.connections.max(1), move |_| loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= arrivals {
-                return;
-            }
-            // Latency is measured from the *scheduled* arrival: a server that
-            // falls behind accrues the queueing delay it caused.
-            let scheduled = epoch + interval.mul_f64(index as f64);
-            if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-            let outcome = connect_with_retry(&target)
-                .map_err(|_| ())
-                .and_then(|stream| {
-                    counters.connected.fetch_add(1, Ordering::Relaxed);
-                    one_request(BufReader::new(stream), &path, &counters)
-                });
-            match outcome {
-                Ok(_) => histogram
-                    .record(scheduled.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64),
-                Err(()) => {
-                    counters.errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        })
-    };
-    for thread in threads {
-        let _ = thread.join();
-    }
-    report(config, &counters, &histogram, epoch.elapsed())
 }
 
 fn report(

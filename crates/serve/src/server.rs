@@ -114,10 +114,6 @@ pub struct ServeConfig {
     pub chunk_bytes: usize,
     /// Requests served per connection before it is closed.
     pub keep_alive_requests: usize,
-    /// Fallback deadline for `header_timeout` and `idle_timeout` when those are
-    /// not set explicitly (retains the pre-event-loop knob's meaning: how long a
-    /// quiet connection may sit before it is reaped).
-    pub read_timeout: Duration,
     /// Hard cap on concurrently open connections; excess accepts are answered
     /// with a best-effort 503 and closed immediately.
     pub max_connections: usize,
@@ -125,11 +121,10 @@ pub struct ServeConfig {
     /// its cap has further connections answered 429 and closed.
     pub per_ip_connections: usize,
     /// How long a connection may take to deliver one complete request head
-    /// before it is reaped (the slow-loris guard); `None` uses `read_timeout`.
-    pub header_timeout: Option<Duration>,
-    /// How long an idle keep-alive connection is retained between requests;
-    /// `None` uses `read_timeout`.
-    pub idle_timeout: Option<Duration>,
+    /// before it is reaped (the slow-loris guard).
+    pub header_timeout: Duration,
+    /// How long an idle keep-alive connection is retained between requests.
+    pub idle_timeout: Duration,
     /// How long a response may go without write progress before the connection
     /// is reaped (the stalled-reader guard).
     pub write_timeout: Duration,
@@ -157,11 +152,10 @@ impl ServeConfig {
             rate_limit: None,
             chunk_bytes: 64 << 10,
             keep_alive_requests: 64,
-            read_timeout: Duration::from_secs(5),
             max_connections: 1024,
             per_ip_connections: 0,
-            header_timeout: None,
-            idle_timeout: None,
+            header_timeout: Duration::from_secs(5),
+            idle_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(10),
             engine,
             journal: None,
@@ -373,8 +367,8 @@ impl Server {
             keep_alive_requests: config.keep_alive_requests,
             max_connections: config.max_connections,
             per_ip_connections: config.per_ip_connections,
-            header_timeout: config.header_timeout.unwrap_or(config.read_timeout),
-            idle_timeout: config.idle_timeout.unwrap_or(config.read_timeout),
+            header_timeout: config.header_timeout,
+            idle_timeout: config.idle_timeout,
             write_timeout: config.write_timeout,
         })
     }

@@ -125,7 +125,8 @@ impl FuzzServer {
         config.threads = 2;
         // Short socket timeout so a mutant that leaves the connection dangling
         // (e.g. a truncated head) is reaped quickly instead of pinning a worker.
-        config.read_timeout = Duration::from_millis(200);
+        config.header_timeout = Duration::from_millis(200);
+        config.idle_timeout = Duration::from_millis(200);
         let server = Server::bind(config).expect("server binds");
         let addr = server.local_addr().expect("bound address");
         let handle = server.shutdown_handle();

@@ -1231,7 +1231,7 @@ fn zero_byte_draws_touch_neither_tier() {
 #[test]
 fn slow_loris_heads_are_reaped_at_the_header_deadline() {
     let mut config = model_config();
-    config.header_timeout = Some(Duration::from_millis(300));
+    config.header_timeout = Duration::from_millis(300);
     let server = TestServer::start(config);
     let addr = server.addr;
 
@@ -1273,7 +1273,7 @@ fn slow_loris_heads_are_reaped_at_the_header_deadline() {
 #[test]
 fn idle_keepalive_connections_are_reaped() {
     let mut config = model_config();
-    config.idle_timeout = Some(Duration::from_millis(200));
+    config.idle_timeout = Duration::from_millis(200);
     let server = TestServer::start(config);
 
     let mut conn = TcpStream::connect(server.addr).expect("connects");
