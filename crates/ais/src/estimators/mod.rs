@@ -49,7 +49,6 @@ pub mod compression;
 pub mod markov;
 pub mod mcv;
 pub mod prediction;
-pub mod suffix;
 pub mod tuple;
 
 pub use collision::collision_estimate;
@@ -113,9 +112,10 @@ pub struct EstimatorTiming {
 
 /// The battery's schedulable units, in specification order.
 ///
-/// The t-tuple and LRS estimates share one suffix-array construction, so they run
-/// (and are timed) as a single `"t-tuple+lrs"` unit; every other estimator is its
-/// own unit.  The engine's per-estimator latency histograms use these labels.
+/// The t-tuple and LRS estimates share one sort of the window's start positions,
+/// so they run (and are timed) as a single `"t-tuple+lrs"` unit; every other
+/// estimator is its own unit.  The engine's per-estimator latency histograms use
+/// these labels.
 pub const BATTERY_UNIT_NAMES: [&str; 7] = [
     "mcv",
     "collision",
@@ -142,6 +142,11 @@ const BATTERY_UNITS: [UnitFn; 7] = [
     |bits| Ok(vec![lag_estimate(bits)?]),
 ];
 
+/// Indices into [`BATTERY_UNITS`] in the order workers take them: longest first
+/// (lag, t-tuple+LRS, MultiMCW, compression, then the counting trio), so the
+/// longest unit starts at once and the short ones fill in behind it.
+const DISPATCH_ORDER: [usize; 7] = [6, 4, 5, 3, 0, 1, 2];
+
 /// The full §6.3 battery: every estimator's result, reduced by the battery minimum.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstimatorBattery {
@@ -163,9 +168,10 @@ impl EstimatorBattery {
     ///
     /// The seven units (see [`BATTERY_UNIT_NAMES`]) are independent, so on a
     /// multi-core host they run on a scoped thread pool sized by
-    /// `available_parallelism`; on one CPU the battery degrades gracefully to a
-    /// serial loop with no thread overhead.  Results come back in specification
-    /// order either way, and timings are per unit regardless of scheduling.
+    /// `available_parallelism`, which takes them longest first; on one CPU the
+    /// battery degrades gracefully to a serial loop with no thread overhead.
+    /// Results come back in specification order either way, and timings are per
+    /// unit regardless of scheduling.
     ///
     /// # Errors
     ///
@@ -191,17 +197,17 @@ impl EstimatorBattery {
             let done = Mutex::new(Vec::with_capacity(BATTERY_UNITS.len()));
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = BATTERY_UNITS.get(index) else {
-                            break;
-                        };
-                        let start = Instant::now();
-                        let outcome = unit(bits);
-                        let ns = start.elapsed().as_nanos() as u64;
-                        done.lock()
-                            .expect("battery worker poisoned the result lock")
-                            .push((index, outcome, ns));
+                    scope.spawn(|| {
+                        while let Some(&index) =
+                            DISPATCH_ORDER.get(next.fetch_add(1, Ordering::Relaxed))
+                        {
+                            let start = Instant::now();
+                            let outcome = BATTERY_UNITS[index](bits);
+                            let ns = start.elapsed().as_nanos() as u64;
+                            done.lock()
+                                .expect("battery worker poisoned the result lock")
+                                .push((index, outcome, ns));
+                        }
                     });
                 }
             });

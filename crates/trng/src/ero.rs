@@ -139,11 +139,13 @@ impl EroTrng {
 /// * **Telescoped** (both oscillators thermal-only) — the classical per-period walk is
 ///   collapsed using the independent-increment property of white-FM jitter: the
 ///   sampling oscillator advances one aggregated `N(D·T₀, D·σ²)` step per bit, and the
-///   sampled oscillator block-skips to just short of the capture instant (aggregated
-///   normal with an `8σ` safety margin) before resolving the final straddling edges
-///   period-by-period.  This is exact in distribution — a sum of independent Gaussian
-///   periods *is* the aggregated Gaussian — and costs `O(1)` draws per bit instead of
-///   `O(division)`.
+///   sampled oscillator block-skips to just short of the capture instant (one
+///   aggregated normal draw aimed a `5σ` guard short of it) before resolving the final
+///   straddling edges period-by-period.  The aggregation itself is exact in
+///   distribution — a sum of independent Gaussian periods *is* the aggregated
+///   Gaussian — and costs `O(1)` draws per bit instead of `O(division)`.  The skip is
+///   not quite exact: when it overshoots the guard (about `3e-7` per skip), the
+///   skipped straddling edge is approximated one nominal period before the next edge.
 /// * **Record-based** (any flicker component) — correlated jitter cannot be aggregated,
 ///   so each call simulates edge records like the one-shot path, but into persistent
 ///   buffers via [`JitterSampler`] and with a linear merge walk (not a per-bit binary
