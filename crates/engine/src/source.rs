@@ -456,8 +456,8 @@ fn ero_entropy_claim(config: &EroTrngConfig) -> Result<f64> {
 
 /// Adapter for the workspace's [`EroTrng`] simulator.
 ///
-/// The source holds a persistent [`EroSampler`] (continuous oscillator phase for
-/// thermal-only profiles, reusable record scratch otherwise) and a persistent
+/// The source holds a persistent [`EroSampler`] (oscillator phase continuous across
+/// calls, reusable record scratch for flicker profiles) and a persistent
 /// [`JitterSampler`] plus jitter buffer for the `σ²_N` counter sweep, so steady-state
 /// batch generation performs no per-call allocation.
 pub struct EroSource {
@@ -867,6 +867,42 @@ mod tests {
         assert!(h > 0.05 && h <= 1.0, "claim {h}");
         assert!(src.label().contains("strong"));
         assert!(src.nominal_bit_rate() > 1.0e6);
+    }
+
+    #[test]
+    fn record_walk_does_not_restart_on_each_call() {
+        // `date14` has flicker, so it runs the record walk.  Its phase advances only
+        // frac(64·f₁/f₂) ≈ 0.045 cycles per bit at D = 64, so a walk that restarted
+        // phase-aligned on every call would read the same first bits in every call
+        // (P(1) ≥ 0.99 for bits 0–8).  A continuous walk reads each position at the
+        // stationary frequency, ½.
+        //
+        // Tolerance: 4σ of `calls` independent fair reads, 4·√(¼/calls) = 0.1.  That
+        // is conservative: one position's successive reads are 2048 periods apart,
+        // where the phase has moved frac(2048·f₁/f₂) ≈ 0.43 cycles plus ≈ 0.09 cycles
+        // rms of jitter, so they alternate between the halves of the period and
+        // average out faster than independent reads would.
+        let mut source = SourceSpec::parse("ero:64:date14")
+            .unwrap()
+            .build(7)
+            .unwrap();
+        let calls = 400;
+        let mut ones = [0usize; 8];
+        let mut bits = [0u8; 32];
+        for _ in 0..calls {
+            source.fill_bits(&mut bits).unwrap();
+            for (count, &bit) in ones.iter_mut().zip(&bits) {
+                *count += usize::from(bit);
+            }
+        }
+        let tolerance = 4.0 * (0.25 / calls as f64).sqrt();
+        for (position, &count) in ones.iter().enumerate() {
+            let p = count as f64 / calls as f64;
+            assert!(
+                (p - 0.5).abs() < tolerance,
+                "bit {position} of each call: P(1) = {p} (±{tolerance})"
+            );
+        }
     }
 
     #[test]

@@ -113,11 +113,11 @@ impl EroTrng {
 
     /// Fills `out` with raw bits through a transient [`EroSampler`].
     ///
-    /// Convenience entry point: both oscillators restart phase-aligned at `t = 0`, and
-    /// the sampler's scratch is allocated and dropped within the call.  Callers on a hot
-    /// path should hold an [`EroSampler`] (via [`EroTrng::sampler`]) instead, which is
-    /// allocation-free in steady state and keeps the oscillator phases continuous
-    /// across calls.
+    /// Convenience entry point: every call is a fresh realization starting at a uniform
+    /// phase, and the sampler's scratch is allocated and dropped within the call.
+    /// Callers on a hot path should hold an [`EroSampler`] (via [`EroTrng::sampler`])
+    /// instead, which is allocation-free in steady state and keeps the oscillator
+    /// phases continuous across calls.
     ///
     /// # Errors
     ///
@@ -133,24 +133,24 @@ impl EroTrng {
 /// Streaming bit sampler for an [`EroTrng`]: persistent oscillator phase plus reusable
 /// scratch, so [`EroSampler::fill_bits`] performs no allocation in steady state.
 ///
-/// Two internally-selected simulation strategies produce the same bit-process
-/// distribution:
+/// Both internally-selected strategies carry the sampled oscillator's phase across
+/// calls, and both start the first call at a uniform phase (the stationary law), so the
+/// stream is stationary from bit 0:
 ///
-/// * **Telescoped** (both oscillators thermal-only) — the classical per-period walk is
-///   collapsed using the independent-increment property of white-FM jitter: the
-///   sampling oscillator advances one aggregated `N(D·T₀, D·σ²)` step per bit, and the
-///   sampled oscillator block-skips to just short of the capture instant (one
-///   aggregated normal draw aimed a `5σ` guard short of it) before resolving the final
-///   straddling edges period-by-period.  The aggregation itself is exact in
-///   distribution — a sum of independent Gaussian periods *is* the aggregated
-///   Gaussian — and costs `O(1)` draws per bit instead of `O(division)`.  The skip is
-///   not quite exact: when it overshoots the guard (about `3e-7` per skip), the
-///   skipped straddling edge is approximated one nominal period before the next edge.
-/// * **Record-based** (any flicker component) — correlated jitter cannot be aggregated,
-///   so each call simulates edge records like the one-shot path, but into persistent
-///   buffers via [`JitterSampler`] and with a linear merge walk (not a per-bit binary
-///   search) for the capture comparisons.  As with the one-shot path, each call is an
-///   independent realization restarting at `t = 0`.
+/// * **Phase walk** (both oscillators thermal-only) — thermal jitter has independent
+///   increments, so the sampled oscillator's phase at successive captures, in cycles,
+///   is a Gaussian random walk `φ_k = φ_{k−1} + D·f₁/f₂ + N(0, Q)` with
+///   `Q = D·(f₁/f₂)·(σ₁f₁)² + D·(σ₂f₁)²` (`σᵢ` each ring's thermal period jitter).
+///   The sampler keeps `frac(φ)` and draws one standard Gaussian per bit; the bit is
+///   `frac(φ_k) < duty`.  This is the phase law of Baudet's bound, which seeds the
+///   ledger; it approximates the period-by-period edge walk, from which it differs
+///   visibly only at low jitter per bit.
+/// * **Record walk** (any flicker component) — correlated jitter has no such closed
+///   form, so both rings' edge records are simulated period by period via
+///   [`JitterSampler`], and a linear merge walk resolves each capture.  The records
+///   continue across calls: each call's sampling record starts at the previous call's
+///   last capture edge, and the sampled ring's edges past that capture are kept and
+///   extended.
 #[derive(Debug, Clone)]
 pub struct EroSampler {
     config: EroTrngConfig,
@@ -159,31 +159,31 @@ pub struct EroSampler {
 
 #[derive(Debug, Clone)]
 enum SamplerMode {
-    Telescoped(TelescopedState),
-    Record(Box<RecordState>),
+    Phase(PhaseWalk),
+    Record(Box<RecordWalk>),
 }
 
-/// Phase state of the exact thermal-only streaming simulation.
+/// State of the thermal-only phase walk.
 #[derive(Debug, Clone)]
-struct TelescopedState {
+struct PhaseWalk {
     gauss: GaussStream,
-    /// Per-period jitter standard deviations.
-    sigma_sampling: f64,
-    sigma_sampled: f64,
-    /// Time of the current (division-aligned) sampling edge.
-    t: f64,
-    /// Straddling edge pair of the sampled oscillator: `prev <= t < next` after
-    /// advancing.
-    prev: f64,
-    next: f64,
-    started: bool,
+    /// `frac(D·f₁/f₂)`: the mean phase advance per bit, in cycles.
+    drift: f64,
+    /// `√Q`: the standard deviation of the phase advance per bit, in cycles.
+    sigma: f64,
+    /// `frac(φ)` at the last capture; `None` until the first call draws it.
+    phase: Option<f64>,
 }
 
+/// State of the edge-record walk.
 #[derive(Debug, Clone)]
-struct RecordState {
+struct RecordWalk {
     sampling: JitterSampler,
     sampled: JitterSampler,
+    /// Scratch for one call's sampling-oscillator edges.
     sampling_times: Vec<f64>,
+    /// Sampled-oscillator edges from the one at or before the last capture onwards, on
+    /// a time axis whose origin is that capture; empty until the first call.
     sampled_times: Vec<f64>,
 }
 
@@ -192,17 +192,19 @@ impl EroSampler {
         let config = *trng.config();
         let thermal_only = config.sampled.b_flicker() == 0.0 && config.sampling.b_flicker() == 0.0;
         let mode = if thermal_only {
-            SamplerMode::Telescoped(TelescopedState {
+            let (f1, f2) = (config.sampled.frequency(), config.sampling.frequency());
+            let division = f64::from(config.division);
+            let mu = division * f1 / f2;
+            let q = mu * (config.sampled.thermal_period_jitter() * f1).powi(2)
+                + division * (config.sampling.thermal_period_jitter() * f1).powi(2);
+            SamplerMode::Phase(PhaseWalk {
                 gauss: GaussStream::new(),
-                sigma_sampling: config.sampling.thermal_period_jitter(),
-                sigma_sampled: config.sampled.thermal_period_jitter(),
-                t: 0.0,
-                prev: 0.0,
-                next: 0.0,
-                started: false,
+                drift: mu - mu.floor(),
+                sigma: q.sqrt(),
+                phase: None,
             })
         } else {
-            SamplerMode::Record(Box::new(RecordState {
+            SamplerMode::Record(Box::new(RecordWalk {
                 sampling: JitterSampler::new(JitterGenerator::new(config.sampling))
                     .map_err(TrngError::from)?,
                 sampled: JitterSampler::new(JitterGenerator::new(config.sampled))
@@ -221,146 +223,58 @@ impl EroSampler {
 
     /// Fills `out` with raw bits (one `0`/`1` byte per bit).
     ///
-    /// # Errors
-    ///
-    /// Returns an error when the underlying simulation fails (e.g. a generated period
-    /// is not strictly positive, which requires jitter comparable to the period — a
-    /// mis-parameterized model).
     /// Generic over the RNG so concrete callers get a fully monomorphized (inlined)
     /// draw path; `&mut dyn RngCore` works too.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the record walk generates a period that is not strictly
+    /// positive (jitter comparable to the period — a mis-parameterized model); the next
+    /// call then starts afresh at a uniform phase.  The phase walk cannot fail.
     pub fn fill_bits<R: RngCore + ?Sized>(&mut self, rng: &mut R, out: &mut [u8]) -> Result<()> {
         if out.is_empty() {
             return Ok(());
         }
+        let duty = self.config.duty_cycle;
         match &mut self.mode {
-            SamplerMode::Telescoped(state) => state.fill_bits(&self.config, rng, out),
-            SamplerMode::Record(state) => state.fill_bits(&self.config, rng, out),
-        }
-    }
-}
-
-impl TelescopedState {
-    fn fill_bits<R: RngCore + ?Sized>(
-        &mut self,
-        config: &EroTrngConfig,
-        rng: &mut R,
-        out: &mut [u8],
-    ) -> Result<()> {
-        let t0_spl = config.sampling.period();
-        let t0_smp = config.sampled.period();
-        let division = config.division as f64;
-        let duty = config.duty_cycle;
-        let step_mean = division * t0_spl;
-        let step_sigma = division.sqrt() * self.sigma_sampling;
-        let sigma_smp = self.sigma_sampled;
-        let inv_t0_smp = 1.0 / t0_smp;
-        // Guard coefficient of the block skip: 5σ of the aggregated jitter per √period,
-        // in periods.
-        let guard_c = 5.0 * sigma_smp * inv_t0_smp;
-        let mut gauss = self.gauss;
-        let (mut t, mut prev, mut next) = (self.t, self.prev, self.next);
-        let mut started = self.started;
-        // The walk runs entirely on locals; state is committed only on success.  On an
-        // error (non-positive period — a mis-parameterized model) the sampler resets to
-        // its initial phase state, so a retrying caller gets a clean fresh realization
-        // instead of a half-advanced walk that never existed.
-        let walk = (|| -> Result<()> {
-            if !started {
-                // Both oscillators start phase-aligned at t = 0; resolve the sampled
-                // oscillator's first period.
-                let first = t0_smp + sigma_smp * gauss.next(rng);
-                if first <= 0.0 {
-                    return Err(non_positive_period_error());
-                }
-                next = first;
-                started = true;
-            }
-            // Rebase the time origin so the absolute timestamps cannot grow without
-            // bound (subtracting a common offset leaves every difference, and hence
-            // every bit, unchanged up to one ulp).
-            if prev > 1.0e9 * t0_smp {
-                t -= prev;
-                next -= prev;
-                prev = 0.0;
-            }
-            for bit in out.iter_mut() {
-                // One aggregated draw advances the sampling oscillator by `division`
-                // periods: Σ of D iid N(T₀, σ²) periods is N(D·T₀, D·σ²).
-                t += step_mean + step_sigma * gauss.next(rng);
-                if t <= prev {
-                    return Err(non_positive_period_error());
-                }
-                // Block-skip across sampled edges that cannot straddle t: aim `guard`
-                // periods short of t, where the guard keeps the overshoot probability
-                // below ~3e-7 per skip (5σ of the aggregated jitter); a rare overshoot
-                // is handled explicitly, so this is a speed/robustness knob, not a
-                // correctness bound.  One skip per bit suffices — what remains after
-                // it is of the guard's order and is resolved edge-by-edge.
-                let whole = if next <= t {
-                    ((t - next) * inv_t0_smp) as usize
-                } else {
-                    0
-                };
-                let guard = (guard_c * (whole as f64).sqrt()).ceil() as usize + 1;
-                if whole > guard + 1 {
-                    let k = (whole - guard) as f64;
-                    let skip = k * t0_smp + k.sqrt() * sigma_smp * gauss.next(rng);
-                    if skip <= 0.0 {
-                        return Err(non_positive_period_error());
-                    }
-                    next += skip;
-                }
-                if next > t && prev < next - 2.0 * t0_smp {
-                    // Beyond the 5σ guard: the straddling pair was skipped;
-                    // approximate the missing edge one nominal period back.
-                    prev = next - t0_smp;
-                }
-                // Resolve the remaining sampled edges one period at a time.
-                while next <= t {
-                    let period = t0_smp + sigma_smp * gauss.next(rng);
-                    if period <= 0.0 {
-                        return Err(non_positive_period_error());
-                    }
-                    prev = next;
-                    next += period;
-                }
-                // fraction < duty  ⟺  t - prev < duty·(next - prev), sparing a
-                // division.
-                *bit = u8::from(t - prev < duty * (next - prev));
-            }
-            Ok(())
-        })();
-        match walk {
-            Ok(()) => {
-                self.gauss = gauss;
-                self.t = t;
-                self.prev = prev;
-                self.next = next;
-                self.started = started;
+            SamplerMode::Phase(walk) => {
+                walk.fill_bits(duty, rng, out);
                 Ok(())
             }
-            Err(e) => {
-                self.gauss = GaussStream::new();
-                self.t = 0.0;
-                self.prev = 0.0;
-                self.next = 0.0;
-                self.started = false;
-                Err(e)
+            SamplerMode::Record(walk) => {
+                let filled = walk.fill_bits(&self.config, rng, out);
+                if filled.is_err() {
+                    walk.sampled_times.clear();
+                }
+                filled
             }
         }
     }
 }
 
-fn non_positive_period_error() -> TrngError {
-    TrngError::InvalidParameter {
-        name: "periods",
-        reason: "a generated period was not strictly positive (jitter comparable to the \
-                 period — a mis-parameterized model)"
-            .to_string(),
+/// A uniform draw from `[0, 1)` with 53 random bits.
+fn uniform<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+}
+
+impl PhaseWalk {
+    fn fill_bits<R: RngCore + ?Sized>(&mut self, duty: f64, rng: &mut R, out: &mut [u8]) {
+        let mut phase = match self.phase {
+            Some(phase) => phase,
+            None => uniform(rng),
+        };
+        let mut gauss = self.gauss;
+        for bit in out.iter_mut() {
+            phase += self.drift + self.sigma * gauss.next(rng);
+            phase -= phase.floor();
+            *bit = u8::from(phase < duty);
+        }
+        self.gauss = gauss;
+        self.phase = Some(phase);
     }
 }
 
-impl RecordState {
+impl RecordWalk {
     fn fill_bits<R: RngCore + ?Sized>(
         &mut self,
         config: &EroTrngConfig,
@@ -368,47 +282,50 @@ impl RecordState {
         out: &mut [u8],
     ) -> Result<()> {
         let division = config.division as usize;
-        let count = out.len();
-        let sampling_periods = (count * division).max(4);
-        self.sampling_times.resize(sampling_periods + 1, 0.0);
+        let t0_smp = config.sampled.period();
+        if self.sampled_times.is_empty() {
+            // The sampled oscillator's last edge before the first capture's origin,
+            // placed so that its phase there is uniform.
+            self.sampled_times.push(-uniform(rng) * t0_smp);
+        }
+        let captures = out.len() * division;
+        self.sampling_times.resize(captures.max(4) + 1, 0.0);
         self.sampling
             .fill_edge_times(&mut rng, 0.0, &mut self.sampling_times)?;
-        let duration = *self
-            .sampling_times
-            .last()
-            .expect("edge buffer holds at least the starting edge");
-        let ratio = config.sampled.frequency() / config.sampling.frequency();
-        let sampled_periods = ((sampling_periods as f64) * ratio * 1.02) as usize + 16;
-        self.sampled_times.resize(sampled_periods + 1, 0.0);
-        self.sampled
-            .fill_edge_times(&mut rng, 0.0, &mut self.sampled_times)?;
-        if *self.sampled_times.last().expect("non-empty") < duration {
-            return Err(TrngError::InvalidParameter {
-                name: "sampled",
-                reason: "sampled-oscillator record ended before the sampling record".to_string(),
-            });
+        let last_capture = self.sampling_times[captures];
+        // Extend the sampled record past the last capture (2 % slack on the nominal
+        // edge count; the loop covers whatever the slack misses).
+        loop {
+            let from = self.sampled_times.len() - 1;
+            let end = self.sampled_times[from];
+            if end > last_capture {
+                break;
+            }
+            let more = ((last_capture - end) / t0_smp * 1.02) as usize + 16;
+            self.sampled_times.resize(from + more + 1, 0.0);
+            self.sampled
+                .fill_edge_times(&mut rng, end, &mut self.sampled_times[from..])?;
         }
 
-        // Both edge series are monotone: one linear merge walk resolves every capture
-        // instant, instead of a per-bit binary search.
+        // Both edge series are monotone and the sampled record starts at or before 0
+        // and ends after the last capture: one linear merge walk resolves every
+        // capture instant, with `sampled_times[idx] <= t < sampled_times[idx + 1]`.
         let mut idx = 0usize;
         for (k, bit) in out.iter_mut().enumerate() {
-            let edge_index = (k + 1) * division;
-            let t = self.sampling_times[edge_index];
-            while idx < self.sampled_times.len() && self.sampled_times[idx] <= t {
+            let t = self.sampling_times[(k + 1) * division];
+            while self.sampled_times[idx + 1] <= t {
                 idx += 1;
             }
-            if idx == 0 || idx >= self.sampled_times.len() {
-                return Err(TrngError::InvalidParameter {
-                    name: "count",
-                    reason: "internal record was too short to produce every requested bit"
-                        .to_string(),
-                });
-            }
-            let start = self.sampled_times[idx - 1];
-            let end = self.sampled_times[idx];
-            let fraction = (t - start) / (end - start);
-            *bit = u8::from(fraction < config.duty_cycle);
+            let (start, end) = (self.sampled_times[idx], self.sampled_times[idx + 1]);
+            // fraction < duty  ⟺  t − start < duty·(end − start), sparing a division.
+            *bit = u8::from(t - start < config.duty_cycle * (end - start));
+        }
+        // Keep the straddling edge and everything after it, rebased so the last capture
+        // is the next call's origin (timestamps stay small, differences unchanged up to
+        // one ulp).
+        self.sampled_times.drain(..idx);
+        for edge in &mut self.sampled_times {
+            *edge -= last_capture;
         }
         Ok(())
     }
@@ -419,6 +336,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::f64::consts::PI;
 
     fn jittery_config(division: u32) -> EroTrngConfig {
         // Strongly jittery oscillators so that even small divisions decorrelate the bits.
@@ -479,39 +397,115 @@ mod tests {
         sampler.fill_bits(&mut rng, &mut []).unwrap();
     }
 
+    /// The engine's `strong` profile at the given division: thermal-only rings at
+    /// 103 and 102.3 MHz with `b_th = 1.2e6` Hz each.
+    fn strong_config(division: u32) -> EroTrngConfig {
+        EroTrngConfig {
+            sampled: PhaseNoiseModel::new(1.2e6, 0.0, 103.0e6).unwrap(),
+            sampling: PhaseNoiseModel::new(1.2e6, 0.0, 102.3e6).unwrap(),
+            division,
+            duty_cycle: 0.5,
+        }
+    }
+
+    /// `count` bits drawn through one persistent sampler in 8192-bit calls, as the
+    /// engine draws them.
+    fn stream(config: EroTrngConfig, seed: u64, count: usize) -> Vec<u8> {
+        let mut sampler = EroTrng::new(config).unwrap().sampler().unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bits = vec![0u8; count];
+        for chunk in bits.chunks_mut(8192) {
+            sampler.fill_bits(&mut rng, chunk).unwrap();
+        }
+        bits
+    }
+
     #[test]
-    fn telescoped_sampler_resets_cleanly_after_an_error() {
-        // σ/T₀ = 0.25: a non-positive period (>4σ event) is certain within a million
-        // draws, so the first large request errors; afterwards the sampler must be back
-        // in its initial phase state, behaving exactly like a freshly-built one.
+    fn phase_walk_matches_the_odd_harmonic_series() {
+        // With φ_k = φ_{k−1} + N(m·μ, m·Q) over m bits and a duty-0.5 square wave
+        // (Fourier series Σ_{k odd} 4/(πk)·sin 2πkφ), the share of equal bits at lag m
+        // is ½ + Σ_{k odd} 4/(π²k²)·e^{−2π²k²mQ}·cos(2πkmμ), μ = D·f₁/f₂ and
+        // Q = D·(f₁/f₂)·(σ₁f₁)² + D·(σ₂f₁)².
+        //
+        // Tolerance: Y_i = [b_i = b_{i+m}] − p is a function of φ_i … φ_{i+m}, and the
+        // walk contracts every non-constant function of the phase by at least
+        // ρ = e^{−2π²Q} per bit (its Fourier multipliers), so |Cov(Y_0, Y_j)| ≤ Var Y
+        // for j ≤ m and ≤ Var Y·ρ^{j−m} beyond.  The estimate over N pairs then has a
+        // standard deviation of at most √(τ/(4N)) with τ = 1 + 2m + 2ρ/(1 − ρ); the
+        // test allows 5 of them.
+        let n = 1 << 21;
+        for (division, seed) in [(1u32, 31u64), (2, 32), (4, 33)] {
+            let config = strong_config(division);
+            let (f1, f2) = (config.sampled.frequency(), config.sampling.frequency());
+            let d = f64::from(division);
+            let mu = d * f1 / f2;
+            let q = d * (f1 / f2) * (config.sampled.thermal_period_jitter() * f1).powi(2)
+                + d * (config.sampling.thermal_period_jitter() * f1).powi(2);
+            let rho = (-2.0 * PI * PI * q).exp();
+            let bits = stream(config, seed, n);
+            for m in 1..=4usize {
+                let lag = m as f64;
+                let series = 0.5
+                    + (1..200)
+                        .step_by(2)
+                        .map(|k| {
+                            let k = k as f64;
+                            4.0 / (PI * PI * k * k)
+                                * (-2.0 * PI * PI * k * k * lag * q).exp()
+                                * (2.0 * PI * k * lag * mu).cos()
+                        })
+                        .sum::<f64>();
+                let pairs = n - m;
+                let equal = bits.iter().zip(&bits[m..]).filter(|(a, b)| a == b).count();
+                let share = equal as f64 / pairs as f64;
+                let tau = 1.0 + 2.0 * lag + 2.0 * rho / (1.0 - rho);
+                let tolerance = 5.0 * (tau / (4.0 * pairs as f64)).sqrt();
+                assert!(
+                    (share - series).abs() < tolerance,
+                    "D = {division}, lag {m}: share {share} vs series {series} (±{tolerance})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn record_walk_restarts_cleanly_after_an_error() {
+        // σ/T₀ = 0.25 with a vanishing flicker term (forcing the record walk): a
+        // non-positive period (a > 4σ event) is certain within 2^18 periods, so the
+        // first large request errors.  The walk keeps edges across calls, so the next
+        // call must start afresh at a uniform phase, exactly like a new sampler.
         let extreme = EroTrngConfig {
-            sampled: PhaseNoiseModel::new(6.25e6, 0.0, 1.0e8).unwrap(),
+            sampled: PhaseNoiseModel::new(6.25e6, 1e-30, 1.0e8).unwrap(),
             sampling: PhaseNoiseModel::new(6.25e6, 0.0, 0.993e8).unwrap(),
             division: 1,
             duty_cycle: 0.5,
         };
         let trng = EroTrng::new(extreme).unwrap();
         let mut sampler = trng.sampler().unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut big = vec![0u8; 1 << 20];
-        assert!(sampler.fill_bits(&mut rng, &mut big).is_err());
-        let mut fresh = trng.sampler().unwrap();
-        let mut rng_a = StdRng::seed_from_u64(22);
-        let mut rng_b = StdRng::seed_from_u64(22);
+        let mut big = vec![0u8; 1 << 18];
+        assert!(sampler
+            .fill_bits(&mut StdRng::seed_from_u64(21), &mut big)
+            .is_err());
         let mut after_error = vec![0u8; 64];
         let mut from_fresh = vec![0u8; 64];
-        let res_a = sampler.fill_bits(&mut rng_a, &mut after_error);
-        let res_b = fresh.fill_bits(&mut rng_b, &mut from_fresh);
-        assert_eq!(res_a.is_ok(), res_b.is_ok());
+        sampler
+            .fill_bits(&mut StdRng::seed_from_u64(22), &mut after_error)
+            .unwrap();
+        trng.sampler()
+            .unwrap()
+            .fill_bits(&mut StdRng::seed_from_u64(22), &mut from_fresh)
+            .unwrap();
         assert_eq!(after_error, from_fresh);
     }
 
     #[test]
-    fn telescoped_and_record_paths_agree_statistically() {
-        // A vanishing flicker coefficient forces the record-based simulation while
-        // leaving the physics indistinguishable from thermal-only; both strategies must
-        // produce the same bit statistics.
-        let thermal = jittery_config(8);
+    fn phase_and_record_walks_agree_statistically() {
+        // A vanishing flicker coefficient forces the record walk while leaving the
+        // physics indistinguishable from thermal-only.  At the deployment point
+        // (`strong`, D = 16) the phase walk and the period-by-period edge walk must
+        // produce the same 4-bit pattern frequencies: a χ² homogeneity test over the
+        // 16 patterns of two equal-sized samples (15 degrees of freedom).
+        let thermal = strong_config(16);
         let mut with_epsilon_flicker = thermal;
         with_epsilon_flicker.sampled = PhaseNoiseModel::new(
             thermal.sampled.b_thermal(),
@@ -519,21 +513,70 @@ mod tests {
             thermal.sampled.frequency(),
         )
         .unwrap();
-        let fast = EroTrng::new(thermal).unwrap();
-        let record = EroTrng::new(with_epsilon_flicker).unwrap();
-        let stats = |bits: &[u8]| {
-            let series: Vec<f64> = bits.iter().map(|&b| b as f64).collect();
-            let p = series.iter().sum::<f64>() / series.len() as f64;
-            let r1 = ptrng_stats::autocorr::lag1_autocorrelation(&series).unwrap();
-            (p, r1)
+        let patterns = |bits: &[u8]| {
+            let mut counts = [0u64; 16];
+            for block in bits.chunks_exact(4) {
+                counts[block.iter().fold(0, |acc, &b| (acc << 1) | usize::from(b))] += 1;
+            }
+            counts
         };
-        let (p_fast, r_fast) = stats(&fill(&fast, 11, 40_000));
-        let (p_rec, r_rec) = stats(&fill(&record, 12, 40_000));
-        assert!((p_fast - p_rec).abs() < 0.02, "bias {p_fast} vs {p_rec}");
+        let n = 1 << 17;
+        let phase = patterns(&stream(thermal, 11, n));
+        let record = patterns(&stream(with_epsilon_flicker, 12, n));
+        let statistic: f64 = phase
+            .iter()
+            .zip(&record)
+            .map(|(&a, &b)| (a as f64 - b as f64).powi(2) / (a + b) as f64)
+            .sum();
+        let p_value = ptrng_stats::special::chi_squared_sf(statistic, 15).unwrap();
         assert!(
-            (r_fast - r_rec).abs() < 0.05,
-            "lag-1 correlation {r_fast} vs {r_rec}"
+            p_value > 1e-4,
+            "4-bit patterns differ: χ² = {statistic}, p = {p_value}\n{phase:?}\n{record:?}"
         );
+    }
+
+    #[test]
+    fn phase_walk_is_stationary_from_bit_0() {
+        // Every fresh sampler draws its starting phase uniformly, so each of the first
+        // bits reads one with probability `duty`.  Two configurations: `strong` at
+        // D = 1, and the paper's ring pair without its flicker at D = 64.  On the
+        // first, a phase-aligned start would sit on the 1 → 0 edge at φ = 0 and read
+        // close to ½ anyway; on the second the phase drifts 0.045 cycles per bit
+        // against 0.013 rms of jitter, so an aligned start would read ones.
+        let paper = EroTrngConfig::date14_experiment(64);
+        let without_flicker =
+            |m: PhaseNoiseModel| PhaseNoiseModel::thermal_only(m.b_thermal(), m.frequency());
+        let paper_thermal = EroTrngConfig {
+            sampled: without_flicker(paper.sampled).unwrap(),
+            sampling: without_flicker(paper.sampling).unwrap(),
+            ..paper
+        };
+        let samplers = 2000;
+        for (config, seed) in [(strong_config(1), 41u64), (paper_thermal, 42)] {
+            let trng = EroTrng::new(config).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ones = [0usize; 8];
+            for _ in 0..samplers {
+                let mut bits = [0u8; 8];
+                trng.sampler()
+                    .unwrap()
+                    .fill_bits(&mut rng, &mut bits)
+                    .unwrap();
+                for (count, &bit) in ones.iter_mut().zip(&bits) {
+                    *count += usize::from(bit);
+                }
+            }
+            let duty = config.duty_cycle;
+            let tolerance = 4.0 * (duty * (1.0 - duty) / samplers as f64).sqrt();
+            for (position, &count) in ones.iter().enumerate() {
+                let p = count as f64 / samplers as f64;
+                assert!(
+                    (p - duty).abs() < tolerance,
+                    "D = {}, bit {position}: P(1) = {p}, duty {duty} ± {tolerance}",
+                    config.division
+                );
+            }
+        }
     }
 
     #[test]
