@@ -21,6 +21,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use ptrng_ais::bits::{first_non_bit, pack_word};
 use ptrng_ais::fips;
 use ptrng_ais::sp80090b::{
     adaptive_proportion_cutoff_with, repetition_count_cutoff_with, ADAPTIVE_PROPORTION_WINDOW,
@@ -274,23 +275,33 @@ impl HealthMonitor {
 
     /// Feeds raw bits through the SP 800-90B continuous tests.
     ///
+    /// The tests step a packed word of up to 64 bits at a time: the repetition count
+    /// reads run lengths with `leading_zeros`/`leading_ones` and the adaptive
+    /// proportion counts with `count_ones`.  Only a word in which a run reaches the
+    /// cutoff is stepped bit by bit, to stop at the bit that trips, exactly as a
+    /// bit-at-a-time monitor would.
+    ///
     /// # Errors
     ///
-    /// Returns an error when a sample is not a bit.
+    /// Returns an error when a sample is not a bit.  Like a monitor that checks each
+    /// sample before it observes it, and stops at its first alarm, this reports the
+    /// first bad sample only if it comes before the alarm stops the call (or directly
+    /// after the bit that tripped); the bits before it are observed.
     pub fn observe_bits(&mut self, bits: &[u8]) -> Result<&HealthState> {
-        for (index, &bit) in bits.iter().enumerate() {
-            if bit > 1 {
-                return Err(EngineError::InvalidParameter {
-                    name: "bits",
-                    reason: format!("sample at index {index} is not a bit (got {bit})"),
-                });
-            }
-            if self.is_alarmed() {
-                break;
-            }
-            self.observe_one(bit);
+        let bad = first_non_bit(bits);
+        let valid = &bits[..bad.unwrap_or(bits.len())];
+        let observed = if self.is_alarmed() {
+            0
+        } else {
+            self.observe_valid(valid)
+        };
+        match bad {
+            Some(index) if observed == index => Err(EngineError::InvalidParameter {
+                name: "bits",
+                reason: format!("sample at index {index} is not a bit (got {})", bits[index]),
+            }),
+            _ => Ok(&self.state),
         }
-        Ok(&self.state)
     }
 
     /// Feeds (post-processed) output bits to the startup battery while it is still
@@ -306,31 +317,136 @@ impl HealthMonitor {
         let Some(buffer) = &mut self.startup_buffer else {
             return Ok(&self.state);
         };
-        for (index, &bit) in bits.iter().enumerate() {
-            if bit > 1 {
-                return Err(EngineError::InvalidParameter {
-                    name: "bits",
-                    reason: format!("sample at index {index} is not a bit (got {bit})"),
-                });
-            }
-            buffer.push(bit);
-            if buffer.len() == fips::FIPS_BLOCK_BITS {
-                let results = fips::run_all(buffer)?;
-                let failures: Vec<String> = results
-                    .iter()
-                    .filter(|r| !r.passed)
-                    .map(|r| r.name.clone())
-                    .collect();
-                self.startup_buffer = None;
-                if failures.is_empty() {
-                    self.state = HealthState::Healthy;
-                } else {
-                    self.trip(AlarmReason::StartupBatteryFailed(failures));
-                }
-                break;
+        let wanted = &bits[..bits.len().min(fips::FIPS_BLOCK_BITS - buffer.len())];
+        if let Some(index) = first_non_bit(wanted) {
+            buffer.extend_from_slice(&wanted[..index]);
+            return Err(EngineError::InvalidParameter {
+                name: "bits",
+                reason: format!("sample at index {index} is not a bit (got {})", bits[index]),
+            });
+        }
+        buffer.extend_from_slice(wanted);
+        if buffer.len() == fips::FIPS_BLOCK_BITS {
+            let results = fips::run_all(buffer)?;
+            let failures: Vec<String> = results
+                .iter()
+                .filter(|r| !r.passed)
+                .map(|r| r.name.clone())
+                .collect();
+            self.startup_buffer = None;
+            if failures.is_empty() {
+                self.state = HealthState::Healthy;
+            } else {
+                self.trip(AlarmReason::StartupBatteryFailed(failures));
             }
         }
         Ok(&self.state)
+    }
+
+    /// Runs the continuous tests over valid bits until the first alarm, a packed word
+    /// at a time; returns how many bits were observed (all of them, or up to and
+    /// including the one that tripped).
+    fn observe_valid(&mut self, bits: &[u8]) -> usize {
+        let mut observed = 0;
+        while observed < bits.len() {
+            // A word never crosses the end of an adaptive-proportion window.
+            let len = (bits.len() - observed)
+                .min(64)
+                .min(ADAPTIVE_PROPORTION_WINDOW - self.apt_pos);
+            let segment = &bits[observed..observed + len];
+            let word = pack_word(segment);
+            if self.run_reaches_cutoff(word, len) {
+                for &bit in segment {
+                    self.observe_one(bit);
+                    observed += 1;
+                    if self.is_alarmed() {
+                        return observed;
+                    }
+                }
+                continue;
+            }
+            self.observe_word(word, len);
+            observed += len;
+            if self.is_alarmed() {
+                break;
+            }
+        }
+        observed
+    }
+
+    /// Whether a run of equal bits reaches the repetition-count cutoff within the
+    /// first `len` bits of the MSB-first `word`, counting the run carried in.
+    fn run_reaches_cutoff(&self, word: u64, len: usize) -> bool {
+        let first = (word >> 63) as u8;
+        if self.last_bit == Some(first) {
+            let leading = if first == 1 {
+                word.leading_ones()
+            } else {
+                word.leading_zeros()
+            };
+            if self.current_run + u64::from(leading).min(len as u64) >= self.rct_cutoff {
+                return true;
+            }
+        }
+        // The cutoff is at least 2, so a run that reaches it inside the word is
+        // `cutoff − 1 ≥ 1` agreements in a row.
+        let cutoff = usize::try_from(self.rct_cutoff).unwrap_or(usize::MAX);
+        if cutoff > len {
+            return false;
+        }
+        // Bit 63 − i of `equal` says whether bits i and i + 1 agree (for i + 1 < len).
+        let mut equal = !(word ^ (word << 1)) & !(u64::MAX >> (len - 1));
+        let mut span = 1;
+        while span < cutoff - 1 && equal != 0 {
+            let step = span.min(cutoff - 1 - span);
+            equal &= equal << step;
+            span += step;
+        }
+        equal != 0
+    }
+
+    /// Advances both tests over the first `len` bits of the MSB-first `word`, in
+    /// which no run reaches the repetition-count cutoff.
+    fn observe_word(&mut self, word: u64, len: usize) {
+        let first = (word >> 63) as u8;
+        // Repetition count: the run at the word's end, continued from the carried one
+        // when the whole word repeats its bit.
+        let tail = word >> (64 - len);
+        let last = (tail & 1) as u8;
+        let trailing = if last == 1 {
+            tail.trailing_ones()
+        } else {
+            tail.trailing_zeros()
+        };
+        let trailing = u64::from(trailing).min(len as u64);
+        if trailing == len as u64 && self.last_bit == Some(last) {
+            self.current_run += trailing;
+        } else {
+            self.current_run = trailing;
+        }
+        self.last_bit = Some(last);
+
+        // Adaptive proportion: the word stays inside the current window.
+        if self.apt_pos == 0 {
+            self.apt_first = first;
+            self.apt_count = 0;
+        }
+        let ones = u64::from(word.count_ones());
+        self.apt_count += if self.apt_first == 1 {
+            ones
+        } else {
+            len as u64 - ones
+        };
+        self.apt_pos += len;
+        if self.apt_pos == ADAPTIVE_PROPORTION_WINDOW {
+            self.apt_pos = 0;
+            if self.apt_count >= self.apt_cutoff {
+                self.trip(AlarmReason::AdaptiveProportion {
+                    count: self.apt_count,
+                    cutoff: self.apt_cutoff,
+                });
+            }
+        }
     }
 
     fn observe_one(&mut self, bit: u8) {
@@ -615,5 +731,216 @@ mod tests {
         let loose = HealthMonitor::new(&HealthConfig::default(), &ledger(0.5)).unwrap();
         assert_eq!(loose.repetition_cutoff(), 81);
         assert!(loose.adaptive_cutoff() > default.adaptive_cutoff());
+    }
+
+    /// The bit-at-a-time loop the word-at-a-time `observe_bits` replaced: check a
+    /// sample, stop at the first alarm, observe the sample.
+    fn observe_bits_per_bit(monitor: &mut HealthMonitor, bits: &[u8]) -> Result<HealthState> {
+        for (index, &bit) in bits.iter().enumerate() {
+            if bit > 1 {
+                return Err(EngineError::InvalidParameter {
+                    name: "bits",
+                    reason: format!("sample at index {index} is not a bit (got {bit})"),
+                });
+            }
+            if monitor.is_alarmed() {
+                break;
+            }
+            monitor.observe_one(bit);
+        }
+        Ok(monitor.state.clone())
+    }
+
+    /// The bit-at-a-time startup collection `observe_output_bits` replaced.
+    fn observe_output_bits_per_bit(
+        monitor: &mut HealthMonitor,
+        bits: &[u8],
+    ) -> Result<HealthState> {
+        if monitor.is_alarmed() {
+            return Ok(monitor.state.clone());
+        }
+        let Some(buffer) = &mut monitor.startup_buffer else {
+            return Ok(monitor.state.clone());
+        };
+        for (index, &bit) in bits.iter().enumerate() {
+            if bit > 1 {
+                return Err(EngineError::InvalidParameter {
+                    name: "bits",
+                    reason: format!("sample at index {index} is not a bit (got {bit})"),
+                });
+            }
+            buffer.push(bit);
+            if buffer.len() == fips::FIPS_BLOCK_BITS {
+                let results = fips::run_all(buffer)?;
+                let failures: Vec<String> = results
+                    .iter()
+                    .filter(|r| !r.passed)
+                    .map(|r| r.name.clone())
+                    .collect();
+                monitor.startup_buffer = None;
+                if failures.is_empty() {
+                    monitor.state = HealthState::Healthy;
+                } else {
+                    monitor.trip(AlarmReason::StartupBatteryFailed(failures));
+                }
+                break;
+            }
+        }
+        Ok(monitor.state.clone())
+    }
+
+    /// Everything the continuous tests carry from one call to the next.
+    type Snapshot = (HealthState, u64, Option<u8>, u8, u64, usize, Option<usize>);
+
+    fn snapshot(monitor: &HealthMonitor) -> Snapshot {
+        (
+            monitor.state.clone(),
+            monitor.current_run,
+            monitor.last_bit,
+            monitor.apt_first,
+            monitor.apt_count,
+            monitor.apt_pos,
+            monitor.startup_buffer.as_ref().map(Vec::len),
+        )
+    }
+
+    fn outcome(result: Result<&HealthState>) -> std::result::Result<HealthState, String> {
+        result.cloned().map_err(|e| e.to_string())
+    }
+
+    /// The three calibrations the word steps must match the bit steps under: full
+    /// entropy at e = 40 (RCT cutoff 41) and e = 20 (cutoff 21), and a claim under the
+    /// 0.05 floor (cutoff 801, longer than a word).
+    fn calibrated(claim: usize) -> HealthMonitor {
+        let config = HealthConfig::default().without_startup_battery();
+        let monitor = match claim {
+            0 => HealthMonitor::new(&config, &ledger(1.0)),
+            1 => HealthMonitor::new(
+                &HealthConfig {
+                    false_positive_exponent: 20.0,
+                    ..config
+                },
+                &ledger(1.0),
+            ),
+            _ => HealthMonitor::new(&config, &ledger(0.01)),
+        }
+        .unwrap();
+        let expected = [41, 21, 801][claim.min(2)];
+        assert_eq!(monitor.repetition_cutoff(), expected);
+        monitor
+    }
+
+    /// Random bits at bias `p_one`, with runs of cutoff − 1, cutoff and cutoff + 1
+    /// bits planted inside words and across word and call edges, optional bad samples
+    /// (some right after the bit a planted run trips on), and the cut points that
+    /// split it into calls (some inside each planted run).
+    fn scenario(seed: u64, cutoff: usize, p_one: f64, bad: bool) -> (Vec<u8>, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = rng.gen_range(0..3 * ADAPTIVE_PROPORTION_WINDOW + 4 * cutoff);
+        let mut bits: Vec<u8> = (0..len).map(|_| u8::from(rng.gen_bool(p_one))).collect();
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0..6))
+            .map(|_| rng.gen_range(0..=len))
+            .collect();
+        for _ in 0..rng.gen_range(0..4) {
+            let run = cutoff - 1 + rng.gen_range(0..3usize);
+            if run + 2 > len {
+                continue;
+            }
+            let mut start = rng.gen_range(0..len - run);
+            if rng.gen_bool(0.5) {
+                // Just before a multiple of 64: across a word edge of a call aligned
+                // there.
+                start = (start / 64 * 64)
+                    .saturating_sub(rng.gen_range(0..run.min(64)))
+                    .min(len - run);
+            }
+            let value = rng.gen_range(0..=1u8);
+            bits[start..start + run].fill(value);
+            // Guard both ends so the run has exactly its planted length.
+            if start > 0 {
+                bits[start - 1] = 1 - value;
+            }
+            if start + run < len {
+                bits[start + run] = 1 - value;
+            }
+            cuts.push(start + rng.gen_range(0..=run));
+            if bad && rng.gen_bool(0.5) {
+                let index = (start + cutoff - 1 + rng.gen_range(1..3usize)).min(len - 1);
+                bits[index] = rng.gen_range(2..=255u8);
+            }
+        }
+        if bad && len > 0 {
+            for _ in 0..rng.gen_range(0..3) {
+                let index = rng.gen_range(0..len);
+                bits[index] = rng.gen_range(2..=255u8);
+            }
+        }
+        cuts.sort_unstable();
+        (bits, cuts)
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Split anywhere, the word steps leave the monitor exactly where the bit
+            /// steps leave it after every call: same state and alarm reason, same
+            /// run, window count and position (so the same tripping bit), and the
+            /// same error for a bad sample.
+            #[test]
+            fn word_steps_match_bit_steps(seed in 0u64..u64::MAX) {
+                // Every calibration, bias and bad-sample choice, each from its own seed.
+                for case in 0..24u64 {
+                    let claim = (case % 3) as usize;
+                    let p_one = [0.5, 0.75, 0.9, 0.99][(case / 3 % 4) as usize];
+                    let mut fast = calibrated(claim);
+                    let mut slow = fast.clone();
+                    let cutoff = fast.repetition_cutoff() as usize;
+                    let (bits, cuts) = scenario(seed ^ case, cutoff, p_one, case >= 12);
+                    let mut from = 0;
+                    for cut in cuts.iter().copied().chain([bits.len()]) {
+                        let piece = &bits[from..cut];
+                        let got = outcome(fast.observe_bits(piece));
+                        let expected =
+                            observe_bits_per_bit(&mut slow, piece).map_err(|e| e.to_string());
+                        prop_assert_eq!(got, expected, "case {}, bits {}..{}", case, from, cut);
+                        prop_assert_eq!(
+                            snapshot(&fast),
+                            snapshot(&slow),
+                            "case {}, after bits {}..{}",
+                            case,
+                            from,
+                            cut
+                        );
+                        from = cut;
+                    }
+                }
+            }
+
+            /// The startup collection takes the same bits and reports the same bad
+            /// sample as the bit-at-a-time loop.
+            #[test]
+            fn startup_collection_matches_bit_steps(
+                seed in 0u64..u64::MAX,
+                bad in 0u8..2,
+            ) {
+                let mut fast =
+                    HealthMonitor::new(&HealthConfig::default(), &ledger(1.0)).unwrap();
+                let mut slow = fast.clone();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut bits = random_bits(rng.gen_range(0..2 * fips::FIPS_BLOCK_BITS), seed);
+                if bad == 0 && !bits.is_empty() {
+                    let index = rng.gen_range(0..bits.len());
+                    bits[index] = 2;
+                }
+                for piece in bits.chunks(rng.gen_range(1..8192)) {
+                    let got = outcome(fast.observe_output_bits(piece));
+                    let expected = observe_output_bits_per_bit(&mut slow, piece).map_err(|e| e.to_string());
+                    prop_assert_eq!(got, expected);
+                    prop_assert_eq!(snapshot(&fast), snapshot(&slow));
+                }
+            }
+        }
     }
 }

@@ -3,6 +3,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 
+use ptrng_ais::bits::PartialByte;
+
 use crate::{EngineError, Result};
 
 /// One batch of packed output bytes from a shard.
@@ -152,16 +154,15 @@ impl Iterator for ByteStream {
 
 /// Accumulates raw bits and drains packed bytes (MSB-first within each byte).
 ///
-/// Bits are packed into bytes as they arrive, so the buffer holds one byte per eight
-/// pushed bits (instead of one byte per bit) and draining is a buffer handoff rather
-/// than a repacking pass.
+/// Bits are packed into bytes as they arrive, eight at a time by
+/// [`ptrng_ais::bits::pack_into`], so the buffer holds one byte per eight pushed bits
+/// (instead of one byte per bit) and draining is a buffer handoff rather than a
+/// repacking pass.
 #[derive(Debug, Default)]
 pub struct BitPacker {
     packed: Vec<u8>,
-    /// Partially-filled byte, bits entering from the LSB side.
-    current: u8,
-    /// Number of valid bits in `current` (0..8).
-    filled: u8,
+    /// Bits of the next byte, carried until it is complete.
+    partial: PartialByte,
 }
 
 impl BitPacker {
@@ -170,29 +171,17 @@ impl BitPacker {
         Self::default()
     }
 
-    /// Appends raw bits (one `0`/`1` per byte).
+    /// Appends raw bits (one `0`/`1` per byte; each contributes its low bit).
     pub fn push_bits(&mut self, bits: &[u8]) {
         // One exact reservation per drained batch (drain_bytes hands the buffer off),
         // instead of repeated doubling growth from zero.
         self.packed.reserve(bits.len() / 8 + 1);
-        let mut current = self.current;
-        let mut filled = self.filled;
-        for &bit in bits {
-            current = (current << 1) | (bit & 1);
-            filled += 1;
-            if filled == 8 {
-                self.packed.push(current);
-                current = 0;
-                filled = 0;
-            }
-        }
-        self.current = current;
-        self.filled = filled;
+        self.partial.pack(bits, &mut self.packed);
     }
 
     /// Number of buffered bits not yet drained.
     pub fn pending_bits(&self) -> usize {
-        self.packed.len() * 8 + self.filled as usize
+        self.packed.len() * 8 + self.partial.len()
     }
 
     /// Drains as many full bytes as are available, keeping the remainder bits.
@@ -202,15 +191,7 @@ impl BitPacker {
 }
 
 /// Unpacks bytes back into bits (MSB-first), the inverse of [`BitPacker`].
-pub fn unpack_bits(bytes: &[u8]) -> Vec<u8> {
-    let mut bits = Vec::with_capacity(bytes.len() * 8);
-    for &byte in bytes {
-        for shift in (0..8).rev() {
-            bits.push((byte >> shift) & 1);
-        }
-    }
-    bits
-}
+pub use ptrng_ais::bits::unpack_bytes as unpack_bits;
 
 /// Shared byte budget: shards claim output bytes until the budget is exhausted.
 #[derive(Debug)]
@@ -318,6 +299,33 @@ mod tests {
                 prop_assert_eq!(bytes.len(), bits.len() / 8);
                 prop_assert_eq!(packer.pending_bits(), bits.len() % 8);
                 prop_assert_eq!(unpack_bits(&bytes), &bits[..(bits.len() / 8) * 8]);
+            }
+
+            /// The word kernel packs exactly as the per-bit loop it replaced, low
+            /// bit of each sample, remainder carried across any chunking.
+            #[test]
+            fn packing_matches_the_per_bit_loop(
+                samples in proptest::collection::vec(0u8..=255, 0..512),
+                chunk in 1usize..80,
+            ) {
+                let mut packer = BitPacker::new();
+                let (mut current, mut filled, mut expected) = (0u8, 0u8, Vec::new());
+                let mut bytes = Vec::new();
+                for piece in samples.chunks(chunk) {
+                    packer.push_bits(piece);
+                    bytes.extend(packer.drain_bytes());
+                    for &bit in piece {
+                        current = (current << 1) | (bit & 1);
+                        filled += 1;
+                        if filled == 8 {
+                            expected.push(current);
+                            current = 0;
+                            filled = 0;
+                        }
+                    }
+                    prop_assert_eq!(&bytes, &expected);
+                    prop_assert_eq!(packer.pending_bits(), usize::from(filled));
+                }
             }
 
             /// The packer keeps working after a drain: remainder bits join the next

@@ -183,9 +183,9 @@ pub fn fill_standard_normal<R: RngCore + ?Sized>(rng: &mut R, out: &mut [f64]) {
     }
 }
 
-/// A streaming standard-Gaussian sampler that caches the spare Box–Muller variate, for
-/// hot loops whose number of draws is data-dependent (e.g. the edge-walking eRO-TRNG
-/// fast path, where block filling is impossible).
+/// A streaming standard-Gaussian sampler that caches the spare variate of each
+/// Marsaglia polar-method pair, for hot loops that draw one variate at a time across
+/// calls (e.g. the eRO-TRNG phase walk, one Gaussian per bit).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GaussStream {
     spare: Option<f64>,

@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ptrng_ais::bits::ensure_bits;
+use ptrng_ais::bits::{ensure_bits, unpack_into, PartialByte};
 use ptrng_ais::sp80090b::conditioned_output_entropy;
 use ptrng_obs::Probe;
 use ptrng_stats::minentropy::{bias_from_min_entropy, min_entropy_from_bias};
@@ -372,8 +372,8 @@ impl ConditioningStage for VonNeumannStage {
 pub const SHA256_DEFAULT_RATIO: usize = 2;
 
 /// Streaming SP 800-90B §3.1.5 vetted conditioner: collects `ratio × 256` input
-/// bits (packed MSB-first into the incremental [`Sha256`] state as they arrive),
-/// then emits the 256-bit digest as output bits.
+/// bits (packed MSB-first as they arrive), hashes them with [`Sha256`] and emits the
+/// 256-bit digest as output bits.
 ///
 /// Ledger algebra: the accounted output min-entropy per block follows the
 /// specification's vetted-conditioner bound
@@ -381,12 +381,10 @@ pub const SHA256_DEFAULT_RATIO: usize = 2;
 /// and `h_in = h·n_in`; the rate is `×1/ratio`.
 pub struct Sha256Stage {
     ratio: usize,
-    hasher: Sha256,
-    /// Partially packed input byte (bits enter from the LSB side).
-    byte: u8,
-    byte_filled: u8,
-    /// Input bits fed into the current conditioning block.
-    fed_bits: usize,
+    /// Packed input bytes of the current conditioning block.
+    message: Vec<u8>,
+    /// Input bits of a byte not yet complete, carried across calls.
+    partial: PartialByte,
 }
 
 impl Sha256Stage {
@@ -405,10 +403,8 @@ impl Sha256Stage {
         }
         Ok(Self {
             ratio,
-            hasher: Sha256::new(),
-            byte: 0,
-            byte_filled: 0,
-            fed_bits: 0,
+            message: Vec::new(),
+            partial: PartialByte::new(),
         })
     }
 
@@ -426,26 +422,18 @@ impl ConditioningStage for Sha256Stage {
     fn process(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<()> {
         ensure_bits(input)?;
         let block_bits = self.block_bits();
-        for &bit in input {
-            self.byte = (self.byte << 1) | bit;
-            self.byte_filled += 1;
-            if self.byte_filled == 8 {
-                self.hasher.update(&[self.byte]);
-                self.byte = 0;
-                self.byte_filled = 0;
-            }
-            self.fed_bits += 1;
-            if self.fed_bits == block_bits {
-                // Block widths are multiples of 8, so no partial byte straddles here.
-                debug_assert_eq!(self.byte_filled, 0);
-                let digest = self.hasher.finalize_reset();
-                out.reserve(DIGEST_BITS);
-                for byte in digest {
-                    for shift in (0..8).rev() {
-                        out.push((byte >> shift) & 1);
-                    }
-                }
-                self.fed_bits = 0;
+        let mut rest = input;
+        while !rest.is_empty() {
+            let fed_bits = self.message.len() * 8 + self.partial.len();
+            let (now, later) = rest.split_at(rest.len().min(block_bits - fed_bits));
+            self.partial.pack(now, &mut self.message);
+            rest = later;
+            // Block widths are multiples of 8, so a complete block leaves no partial
+            // byte, and its message is whole 64-byte blocks (plus 32 bytes for an odd
+            // ratio).
+            if self.message.len() * 8 == block_bits {
+                unpack_into(&Sha256::digest(&self.message), out);
+                self.message.clear();
             }
         }
         Ok(())
@@ -936,11 +924,88 @@ mod tests {
         assert_eq!(out, reference, "xor:2 → xor:3 must equal xor:6");
     }
 
+    /// The per-bit SHA-256 stage the word kernels replaced: bits enter a byte one at
+    /// a time, every byte is one `Sha256::update`, and every digest is unpacked bit by
+    /// bit.
+    struct PerBitSha256 {
+        ratio: usize,
+        hasher: Sha256,
+        byte: u8,
+        byte_filled: u8,
+        fed_bits: usize,
+    }
+
+    impl PerBitSha256 {
+        fn new(ratio: usize) -> Self {
+            Self {
+                ratio,
+                hasher: Sha256::new(),
+                byte: 0,
+                byte_filled: 0,
+                fed_bits: 0,
+            }
+        }
+
+        fn process(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<()> {
+            ensure_bits(input)?;
+            for &bit in input {
+                self.byte = (self.byte << 1) | bit;
+                self.byte_filled += 1;
+                if self.byte_filled == 8 {
+                    self.hasher.update(&[self.byte]);
+                    self.byte = 0;
+                    self.byte_filled = 0;
+                }
+                self.fed_bits += 1;
+                if self.fed_bits == self.ratio * DIGEST_BITS {
+                    for byte in self.hasher.finalize_reset() {
+                        for shift in (0..8).rev() {
+                            out.push((byte >> shift) & 1);
+                        }
+                    }
+                    self.fed_bits = 0;
+                }
+            }
+            Ok(())
+        }
+    }
+
     mod property {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// Split anywhere, with or without a bad sample, the stage emits the bytes
+            /// and errors of the per-bit stage.
+            #[test]
+            fn sha256_stage_matches_the_per_bit_stage(
+                bits in proptest::collection::vec(0u8..=1, 0..3000),
+                cuts in proptest::collection::vec(0usize..3000, 0..6),
+                ratio in 1usize..4,
+                bad in proptest::collection::vec(0usize..6000, 1),
+            ) {
+                let mut bits = bits.clone();
+                if let Some(sample) = bits.get_mut(bad[0]) {
+                    *sample = 2;
+                }
+                let mut cuts: Vec<usize> =
+                    cuts.iter().copied().filter(|&cut| cut <= bits.len()).collect();
+                cuts.sort_unstable();
+                let mut stage = Sha256Stage::new(ratio).unwrap();
+                let mut oracle = PerBitSha256::new(ratio);
+                let (mut out, mut expected) = (Vec::new(), Vec::new());
+                let mut from = 0;
+                for cut in cuts.into_iter().chain([bits.len()]) {
+                    let got = stage.process(&bits[from..cut], &mut out).map_err(|e| e.to_string());
+                    let want = oracle
+                        .process(&bits[from..cut], &mut expected)
+                        .map_err(|e| e.to_string());
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(&out, &expected);
+                    from = cut;
+                }
+            }
+
             /// The acceptance property: the ledger of chained XOR stages matches the
             /// closed-form piling-up algebra of a single stage with the product factor.
             #[test]

@@ -61,8 +61,6 @@ impl EroTrngConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EroTrng {
     config: EroTrngConfig,
-    sampled: JitterGenerator,
-    sampling: JitterGenerator,
 }
 
 impl EroTrng {
@@ -84,11 +82,7 @@ impl EroTrng {
                 reason: format!("must be in (0, 1), got {}", config.duty_cycle),
             });
         }
-        Ok(Self {
-            config,
-            sampled: JitterGenerator::new(config.sampled),
-            sampling: JitterGenerator::new(config.sampling),
-        })
+        Ok(Self { config })
     }
 
     /// The configuration of the generator.
@@ -257,6 +251,31 @@ fn uniform<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// `x.floor()` without a branch or a call.
+///
+/// The x86-64 baseline has no `roundsd`, so `f64::floor` compiles to a call into a
+/// software routine that branches on the exponent and sign, and in the phase walk that
+/// call sits on the loop-carried dependency.  Below 2^52 in magnitude the truncating
+/// conversion through `i64` is exact, and stepping down by one where it rounded up
+/// (negative non-integers) gives the floor.  Every float at or above 2^52 in magnitude
+/// is already an integer, and ±∞ and NaN are their own floor, so those pass through.
+///
+/// The result equals `f64::floor` for every input, bit for bit, except that `−0.0`
+/// gives `+0.0` (the two compare equal).  The walk never forms `−0.0`: its phase is
+/// never negative, and neither a sum with a non-negative operand nor `x − floor(x)`
+/// is `−0.0`.
+#[inline]
+fn floor(x: f64) -> f64 {
+    const INTEGRAL: f64 = (1u64 << 52) as f64;
+    let truncated = x as i64 as f64;
+    let floored = truncated - f64::from(u8::from(truncated > x));
+    if x.abs() < INTEGRAL {
+        floored
+    } else {
+        x
+    }
+}
+
 impl PhaseWalk {
     fn fill_bits<R: RngCore + ?Sized>(&mut self, duty: f64, rng: &mut R, out: &mut [u8]) {
         let mut phase = match self.phase {
@@ -266,7 +285,7 @@ impl PhaseWalk {
         let mut gauss = self.gauss;
         for bit in out.iter_mut() {
             phase += self.drift + self.sigma * gauss.next(rng);
-            phase -= phase.floor();
+            phase -= floor(phase);
             *bit = u8::from(phase < duty);
         }
         self.gauss = gauss;
@@ -335,7 +354,7 @@ impl RecordWalk {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use std::f64::consts::PI;
 
     fn jittery_config(division: u32) -> EroTrngConfig {
@@ -464,6 +483,82 @@ mod tests {
                     (share - series).abs() < tolerance,
                     "D = {division}, lag {m}: share {share} vs series {series} (±{tolerance})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn floor_equals_f64_floor() {
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let two_52 = (1u64 << 52) as f64;
+        let two_63 = (1u64 << 63) as f64;
+        let mut values = vec![
+            0.0,
+            0.5,
+            below_one,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            41.0,
+            two_52 - 0.5,
+            two_52,
+            two_52 + 1.0,
+            two_63,
+            2.0 * two_63,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..20_000 {
+            let exponent = rng.gen_range(-40..70);
+            values.push(rng.gen_range(0.0..1.0) * 2f64.powi(exponent));
+        }
+        for x in values.iter().flat_map(|&x| [x, -x]) {
+            let expected = if x == 0.0 { 0.0 } else { x.floor() };
+            assert_eq!(floor(x).to_bits(), expected.to_bits(), "x = {x:e}");
+        }
+        // The one sign difference, documented: −0.0 floors to +0.0 (equal as floats).
+        assert_eq!(floor(-0.0), (-0.0f64).floor());
+        assert!(floor(f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn phase_walk_equals_a_libm_floor_walk() {
+        // The walk through `f64::floor`, from the same starting phase and Gaussians:
+        // every bit and the carried phase must be the same, at a small and a large
+        // phase step (the latter reaches negative sums every few bits).
+        for division in [1u32, 16, 1024] {
+            let mut sampler = EroTrng::new(strong_config(division))
+                .unwrap()
+                .sampler()
+                .unwrap();
+            let SamplerMode::Phase(walk) = &sampler.mode else {
+                panic!("strong rings are thermal-only")
+            };
+            let (drift, sigma) = (walk.drift, walk.sigma);
+            let mut bits = vec![0u8; 1 << 16];
+            sampler
+                .fill_bits(&mut StdRng::seed_from_u64(u64::from(division)), &mut bits)
+                .unwrap();
+
+            let mut rng = StdRng::seed_from_u64(u64::from(division));
+            let mut gauss = GaussStream::new();
+            let mut phase = uniform(&mut rng);
+            let mut negative_sums = 0;
+            for (k, &bit) in bits.iter().enumerate() {
+                phase += drift + sigma * gauss.next(&mut rng);
+                negative_sums += usize::from(phase < 0.0);
+                phase -= phase.floor();
+                assert_eq!(bit, u8::from(phase < 0.5), "D = {division}, bit {k}");
+            }
+            let SamplerMode::Phase(walk) = &sampler.mode else {
+                unreachable!()
+            };
+            assert_eq!(walk.phase.map(f64::to_bits), Some(phase.to_bits()));
+            if division == 1024 {
+                assert!(negative_sums > 1000, "{negative_sums} negative sums");
             }
         }
     }

@@ -137,9 +137,7 @@ impl Sha256 {
         }
         let mut chunks = rest.chunks_exact(BLOCK_BYTES);
         for chunk in &mut chunks {
-            let mut block = [0u8; BLOCK_BYTES];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
+            self.compress(chunk.try_into().expect("a whole block"));
         }
         let tail = chunks.remainder();
         self.block[..tail.len()].copy_from_slice(tail);
@@ -156,13 +154,18 @@ impl Sha256 {
     /// can absorb the next message — the streaming conditioner's steady-state path.
     pub fn finalize_reset(&mut self) -> [u8; DIGEST_BYTES] {
         let bit_len = self.total_bytes.wrapping_mul(8);
-        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.block_len != 56 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian bit length,
+        // written into the block buffer at once.  The length needs the last 8 bytes,
+        // so a message ending past byte 55 of its block pads into a second block.
+        let mut block = self.block;
+        block[self.block_len] = 0x80;
+        block[self.block_len + 1..].fill(0);
+        if self.block_len >= BLOCK_BYTES - 8 {
+            self.compress(&block);
+            block = [0; BLOCK_BYTES];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.block_len, 0);
+        block[BLOCK_BYTES - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut digest = [0u8; DIGEST_BYTES];
         for (chunk, word) in digest.chunks_exact_mut(4).zip(self.state) {
             chunk.copy_from_slice(&word.to_be_bytes());
@@ -267,6 +270,36 @@ mod tests {
             chunk.copy_from_slice(&word.to_be_bytes());
         }
         assert_eq!(digest, Sha256::digest(&message));
+    }
+
+    #[test]
+    fn one_step_padding_matches_byte_by_byte_padding() {
+        // The padding as FIPS 180-4 §5.1.1 spells it, one byte at a time, around
+        // every block boundary (one or two final compressions).
+        let by_bytes = |message: &[u8]| {
+            let mut hasher = Sha256::new();
+            hasher.update(message);
+            let bit_len = (message.len() as u64) * 8;
+            hasher.update(&[0x80]);
+            while hasher.block_len != 56 {
+                hasher.update(&[0x00]);
+            }
+            hasher.update(&bit_len.to_be_bytes());
+            assert_eq!(hasher.block_len, 0);
+            let mut digest = [0u8; DIGEST_BYTES];
+            for (chunk, word) in digest.chunks_exact_mut(4).zip(hasher.state) {
+                chunk.copy_from_slice(&word.to_be_bytes());
+            }
+            digest
+        };
+        let message: Vec<u8> = (0..200u32).map(|i| (i * 37 % 256) as u8).collect();
+        for len in 0..=message.len() {
+            assert_eq!(
+                Sha256::digest(&message[..len]),
+                by_bytes(&message[..len]),
+                "length {len}"
+            );
+        }
     }
 
     #[test]
