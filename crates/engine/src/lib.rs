@@ -4,9 +4,12 @@
 //! *runs* one at scale.  It turns the simulated generators into a serving system:
 //!
 //! * [`source`] — the [`source::EntropySource`] trait plus pluggable implementations:
-//!   the paper's eRO-TRNG, an XOR-of-K multi-ring combiner, a divided-sampler variant
-//!   sweeping accumulation depths across the paper's `r_N = K/(K+N)` regime, and a fast
-//!   calibrated stochastic-model source for scale testing,
+//!   the paper's eRO-TRNG, a divided-sampler variant sweeping accumulation depths
+//!   across the paper's `r_N = K/(K+N)` regime, and a fast calibrated
+//!   stochastic-model source for scale testing,
+//! * [`pooled`] — the one XOR combiner ([`pooled::PoolSource`]): N child sources
+//!   mixed bit for bit, each with its own health lanes and quarantine; the
+//!   multi-ring `xor:K` spec is a pool of K identical eRO children,
 //! * [`pool`] — a sharded worker pool: one independently-seeded source per shard, each
 //!   feeding a bounded byte channel with batching and backpressure, its bits streamed
 //!   through a declarative conditioning pipeline ([`pool::ConditionerSpec`]: XOR

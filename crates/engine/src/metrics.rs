@@ -334,7 +334,9 @@ pub struct MetricsSnapshot {
     pub total_batches: u64,
     /// Sum of the accounted min-entropy carried by the published output, in bits.
     pub total_accounted_entropy_bits: f64,
-    /// Number of shards that alarmed.
+    /// Number of entries on the alarm trail ([`EngineMetrics::alarm_reasons`]):
+    /// terminal shard alarms, at most one per shard, plus every non-terminal pool
+    /// child quarantine and reinstatement, which recur as children cycle.
     pub alarms: u64,
     /// Latest per-lane entropy-audit summaries (empty unless an audit is
     /// configured).

@@ -228,8 +228,8 @@ pub struct EngineConfig {
     pub audit_every_lane: bool,
     /// Deterministic fault injection: wraps one pool child (per shard) in a
     /// [`FaultSource`](crate::fault::FaultSource) executing the plan.  Only valid
-    /// with a [`SourceSpec::Pool`] spec — the drill exercises the pool's
-    /// quarantine machinery, not production sources.
+    /// with a [`SourceSpec::Pool`] spec (`pool:` or `xor:K`) — the drill exercises
+    /// the pool's quarantine machinery, not production sources.
     pub fault: Option<FaultPlan>,
 }
 
@@ -373,7 +373,7 @@ impl EngineConfig {
             return Err(EngineError::InvalidParameter {
                 name: "fault",
                 reason: "fault injection targets a pool child; the source spec must be \
-                         a pool (`pool:CHILD+CHILD+...`)"
+                         a pool (`pool:CHILD+CHILD+...` or `xor:K`)"
                     .to_string(),
             });
         }

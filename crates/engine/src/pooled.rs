@@ -2,8 +2,9 @@
 //! honest crediting and a quarantine/reinstatement state machine.
 //!
 //! A [`PoolSource`] mixes N heterogeneous children (any [`SourceSpec`] except a
-//! nested pool) bit-for-bit by XOR.  The accounting follows the paper's
-//! discipline end-to-end:
+//! nested pool) bit-for-bit by XOR.  It is the only XOR combiner of sources: the
+//! multi-ring `xor:K[:DIV[:PROFILE]]` spec parses to a pool of K identical eRO
+//! children.  The accounting follows the paper's discipline end-to-end:
 //!
 //! * every child contributes only its **own** dependent-jitter-aware claim, and
 //!   the pool's credit is the conservative piling-up combination
@@ -16,10 +17,12 @@
 //!   dead child cannot stall the pool — and its credit drops out of the mix the
 //!   same batch, while the pool keeps serving on the survivors;
 //! * after a cooldown the child enters **probation**: it is drawn again and
-//!   XOR-mixed at *zero credit* (mixing independent junk into an XOR never
-//!   hurts), observed by a fresh health monitor and audit lane; after
-//!   [`PoolOptions::probation_windows`] clean windows it is **reinstated** at
-//!   full credit.
+//!   XOR-mixed at *zero credit*, observed by a fresh health monitor and audit
+//!   lane; after [`PoolOptions::probation_windows`] clean windows it is
+//!   **reinstated** at full credit.  Mixing junk at zero credit costs nothing only
+//!   while the junk is independent of the credited children: a child whose bits
+//!   track another child's cancels entropy in the XOR, and no per-child lane sees
+//!   it, because each reads one child's stream alone.
 //!
 //! Transitions surface as non-terminal [`AlarmKind::SourceQuarantined`] /
 //! [`AlarmKind::SourceReinstated`] events drained by the shard worker through

@@ -1,13 +1,15 @@
 //! Pluggable entropy sources for the generation runtime.
 //!
 //! Every shard of the pool owns one [`EntropySource`] built from a shared
-//! [`SourceSpec`] and a per-shard seed.  Besides the paper's plain eRO-TRNG, two
-//! scenario sources exercise the regimes the paper analyses — an XOR-of-K multi-ring
-//! combiner and a divided-sampler sweep over accumulation depths spanning the
-//! `r_N = K/(K+N)` transition — plus a calibrated stochastic-model source that trades
-//! physical fidelity for raw speed (per-shard entropy accounting in the spirit of
-//! Saarinen's bit-pattern analysis: the claimed min-entropy per bit is derived from the
-//! model, not assumed to be 1).
+//! [`SourceSpec`] and a per-shard seed.  Besides the paper's plain eRO-TRNG, a
+//! divided-sampler sweep over accumulation depths spanning the `r_N = K/(K+N)`
+//! transition exercises the regimes the paper analyses, and a calibrated
+//! stochastic-model source trades physical fidelity for raw speed (per-shard entropy
+//! accounting in the spirit of Saarinen's bit-pattern analysis: the claimed
+//! min-entropy per bit is derived from the model, not assumed to be 1).  Every XOR of
+//! sources — the `xor:K` multi-ring combiner included, which parses to a pool of K
+//! identical rings — runs through [`crate::pooled::PoolSource`], so each ring keeps its
+//! own health lanes and can be quarantined alone.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +19,6 @@ use ptrng_osc::jitter::{JitterGenerator, JitterSampler};
 use ptrng_osc::phase::PhaseNoiseModel;
 use ptrng_stats::minentropy::min_entropy_from_p_max;
 use ptrng_stats::sn::{sigma2_n_sweep, SnSampling};
-use ptrng_trng::conditioning::EntropyLedger;
 use ptrng_trng::ero::{EroSampler, EroTrng, EroTrngConfig};
 use ptrng_trng::stochastic::EntropyModel;
 
@@ -176,15 +177,6 @@ pub enum SourceSpec {
         /// Jitter profile of the ring pair.
         profile: JitterProfile,
     },
-    /// XOR of `rings` independent eRO-TRNGs sampled at the same division.
-    XorRing {
-        /// Number of independent rings combined.
-        rings: usize,
-        /// Division factor shared by every ring.
-        division: u32,
-        /// Jitter profile of every ring pair.
-        profile: JitterProfile,
-    },
     /// A divided-sampler sweep: consecutive batches rotate through the division
     /// factors, spanning the paper's `r_N = K/(K+N)` thermal-to-flicker transition.
     DividedSampler {
@@ -215,12 +207,14 @@ impl SourceSpec {
     /// Parses a CLI-style specification:
     ///
     /// * `ero[:DIVISION[:PROFILE]]` (default division 16, profile `strong`),
-    /// * `xor:RINGS[:DIVISION[:PROFILE]]` (default division 8),
+    /// * `xor:RINGS[:DIVISION[:PROFILE]]` (default division 8) — shorthand for a
+    ///   pool of `RINGS ≥ 2` identical `ero:DIVISION:PROFILE` children,
     /// * `div:D1,D2,...[:PROFILE]` — divided-sampler sweep,
     /// * `model[:P_ONE]` (default 0.5),
     /// * `pool:CHILD+CHILD[+CHILD...]` — a multi-source pool whose children are
-    ///   any of the above, separated by `+` (e.g. `pool:ero:16+xor:2:8+model:0.5`);
-    ///   pools do not nest and need at least two children,
+    ///   any of the above except `xor:` (pools do not nest), separated by `+`
+    ///   (e.g. `pool:ero:16+ero:8:date14+model:0.5`); a pool needs at least two
+    ///   children,
     ///
     /// where `PROFILE` is `strong` or `date14`.
     ///
@@ -228,6 +222,11 @@ impl SourceSpec {
     ///
     /// Returns an error for unknown kinds or out-of-domain parameters.
     pub fn parse(spec: &str) -> Result<Self> {
+        Self::parse_in(spec, false)
+    }
+
+    /// [`SourceSpec::parse`], told whether `spec` is a child of a `pool:` list.
+    fn parse_in(spec: &str, in_pool: bool) -> Result<Self> {
         let err = |reason: &str| EngineError::SpecParse {
             spec: spec.to_string(),
             reason: reason.to_string(),
@@ -235,7 +234,7 @@ impl SourceSpec {
         if let Some(list) = spec.strip_prefix("pool:") {
             let children = list
                 .split('+')
-                .map(SourceSpec::parse)
+                .map(|child| Self::parse_in(child, true))
                 .collect::<Result<Vec<SourceSpec>>>()?;
             return Self::pool(children, PoolOptions::default());
         }
@@ -247,18 +246,23 @@ impl SourceSpec {
             "date14" => Ok(JitterProfile::Date14),
             other => Err(err(&format!("unknown profile `{other}`"))),
         };
+        // `[DIVISION[:PROFILE]]` of one ring pair.
+        let parse_ring = |args: &[&str], default_division: u32| {
+            let division = match args.first() {
+                Some(d) => d
+                    .parse::<u32>()
+                    .map_err(|_| err("division must be an integer"))?,
+                None => default_division,
+            };
+            let profile = match args.get(1) {
+                Some(p) => parse_profile(p)?,
+                None => JitterProfile::Strong,
+            };
+            Ok::<_, EngineError>((division, profile))
+        };
         match kind {
             "ero" => {
-                let division = match rest.first() {
-                    Some(d) => d
-                        .parse::<u32>()
-                        .map_err(|_| err("division must be an integer"))?,
-                    None => 16,
-                };
-                let profile = match rest.get(1) {
-                    Some(p) => parse_profile(p)?,
-                    None => JitterProfile::Strong,
-                };
+                let (division, profile) = parse_ring(&rest, 16)?;
                 Self::ero(division, profile)
             }
             "xor" => {
@@ -267,17 +271,21 @@ impl SourceSpec {
                     .ok_or_else(|| err("xor needs a ring count, e.g. `xor:4`"))?
                     .parse::<usize>()
                     .map_err(|_| err("ring count must be an integer"))?;
-                let division = match rest.get(1) {
-                    Some(d) => d
-                        .parse::<u32>()
-                        .map_err(|_| err("division must be an integer"))?,
-                    None => 8,
-                };
-                let profile = match rest.get(2) {
-                    Some(p) => parse_profile(p)?,
-                    None => JitterProfile::Strong,
-                };
-                Self::xor_ring(rings, division, profile)
+                let (division, profile) = parse_ring(&rest[1..], 8)?;
+                let ring = Self::ero(division, profile)?;
+                let ring_spec = format!("ero:{division}:{}", profile.name());
+                if rings < 2 {
+                    return Err(err(&format!(
+                        "xor needs at least two rings, got {rings}; one ring is `{ring_spec}`"
+                    )));
+                }
+                if in_pool {
+                    return Err(err(&format!(
+                        "pools do not nest: list the {rings} rings as pool children, \
+                         `{ring_spec}` each"
+                    )));
+                }
+                Self::pool(vec![ring; rings], PoolOptions::default())
             }
             "div" => {
                 let list = rest
@@ -320,26 +328,6 @@ impl SourceSpec {
     pub fn ero(division: u32, profile: JitterProfile) -> Result<Self> {
         check_division(division)?;
         Ok(SourceSpec::Ero { division, profile })
-    }
-
-    /// A validated [`SourceSpec::XorRing`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `rings == 0` or `division == 0`.
-    pub fn xor_ring(rings: usize, division: u32, profile: JitterProfile) -> Result<Self> {
-        if rings == 0 {
-            return Err(EngineError::InvalidParameter {
-                name: "rings",
-                reason: "at least one ring is required".to_string(),
-            });
-        }
-        check_division(division)?;
-        Ok(SourceSpec::XorRing {
-            rings,
-            division,
-            profile,
-        })
     }
 
     /// A validated [`SourceSpec::DividedSampler`].
@@ -414,13 +402,6 @@ impl SourceSpec {
             SourceSpec::Ero { division, profile } => {
                 Ok(Box::new(EroSource::new(*division, *profile, seed)?))
             }
-            SourceSpec::XorRing {
-                rings,
-                division,
-                profile,
-            } => Ok(Box::new(XorRingSource::new(
-                *rings, *division, *profile, seed,
-            )?)),
             SourceSpec::DividedSampler { divisions, profile } => Ok(Box::new(
                 DividedSamplerSource::new(divisions.clone(), *profile, seed)?,
             )),
@@ -534,82 +515,6 @@ impl EntropySource for EroSource {
         let points = sigma2_n_sweep(&self.sweep_scratch, depths, SnSampling::Overlapping)
             .map_err(ptrng_trng::TrngError::from)?;
         Ok(Some(points.iter().map(|p| p.sigma2_n).collect()))
-    }
-}
-
-/// XOR of K independent eRO-TRNGs: the classical multi-ring architecture.
-///
-/// XOR-ing independent raw streams composes their biases by the piling-up lemma,
-/// credited exactly as a pool of the same rings ([`EntropyLedger::xor_mix`]), at K
-/// times the simulation cost.
-pub struct XorRingSource {
-    rings: Vec<EroSource>,
-    scratch: Vec<u8>,
-    entropy_claim: f64,
-}
-
-impl XorRingSource {
-    /// Creates the source; every ring pair gets its own derived seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `rings == 0` or the ring configuration is invalid.
-    pub fn new(rings: usize, division: u32, profile: JitterProfile, seed: u64) -> Result<Self> {
-        if rings == 0 {
-            return Err(EngineError::InvalidParameter {
-                name: "rings",
-                reason: "at least one ring is required".to_string(),
-            });
-        }
-        let sources = (0..rings)
-            .map(|k| EroSource::new(division, profile, derive_seed(seed, 0x7269_6e67 + k as u64)))
-            .collect::<Result<Vec<_>>>()?;
-        let ring = EntropyLedger::source(&sources[0].label(), sources[0].entropy_per_bit())?;
-        let entropy_claim =
-            EntropyLedger::xor_mix("xor", &vec![ring; rings])?.min_entropy_per_bit();
-        Ok(Self {
-            rings: sources,
-            scratch: Vec::new(),
-            entropy_claim,
-        })
-    }
-}
-
-impl EntropySource for XorRingSource {
-    fn label(&self) -> String {
-        format!("xor({} × {})", self.rings.len(), self.rings[0].label())
-    }
-
-    fn nominal_bit_rate(&self) -> f64 {
-        // All rings run in lockstep; the combined rate is one ring's rate.
-        self.rings[0].nominal_bit_rate()
-    }
-
-    fn entropy_per_bit(&self) -> f64 {
-        self.entropy_claim
-    }
-
-    fn fill_bits(&mut self, out: &mut [u8]) -> Result<()> {
-        let (first, others) = self.rings.split_first_mut().expect("at least one ring");
-        first.fill_bits(out)?;
-        self.scratch.resize(out.len(), 0);
-        for ring in others {
-            ring.fill_bits(&mut self.scratch)?;
-            for (bit, extra) in out.iter_mut().zip(&self.scratch) {
-                *bit ^= extra;
-            }
-        }
-        Ok(())
-    }
-
-    fn supports_thermal_sweep(&self) -> bool {
-        true
-    }
-
-    /// All rings share one design; the sweep monitors the first (the on-chip test
-    /// hardware is typically attached to a single representative ring pair).
-    fn sigma2_sweep(&mut self, depths: &[usize]) -> Result<Option<Vec<f64>>> {
-        self.rings[0].sigma2_sweep(depths)
     }
 }
 
@@ -777,10 +682,15 @@ mod tests {
         );
         assert_eq!(
             SourceSpec::parse("xor:3").unwrap(),
-            SourceSpec::XorRing {
-                rings: 3,
-                division: 8,
-                profile: JitterProfile::Strong
+            SourceSpec::Pool {
+                children: vec![
+                    SourceSpec::Ero {
+                        division: 8,
+                        profile: JitterProfile::Strong
+                    };
+                    3
+                ],
+                options: PoolOptions::default(),
             }
         );
         assert_eq!(
@@ -795,22 +705,54 @@ mod tests {
             SourceSpec::Model { p_one: 0.52 }
         );
         assert_eq!(
-            SourceSpec::parse("pool:ero:4+xor:2:8+model:0.5").unwrap(),
+            SourceSpec::parse("pool:ero:4+ero:8:date14+model:0.5").unwrap(),
             SourceSpec::Pool {
                 children: vec![
                     SourceSpec::Ero {
                         division: 4,
                         profile: JitterProfile::Strong
                     },
-                    SourceSpec::XorRing {
-                        rings: 2,
+                    SourceSpec::Ero {
                         division: 8,
-                        profile: JitterProfile::Strong
+                        profile: JitterProfile::Date14
                     },
                     SourceSpec::Model { p_one: 0.5 },
                 ],
                 options: PoolOptions::default(),
             }
+        );
+    }
+
+    #[test]
+    fn xor_parses_to_the_pool_of_its_rings() {
+        let parse = |spec: &str| SourceSpec::parse(spec).unwrap();
+        assert_eq!(parse("xor:2"), parse("pool:ero:8+ero:8"));
+        assert_eq!(
+            parse("xor:3:4:date14"),
+            SourceSpec::Pool {
+                children: vec![
+                    SourceSpec::Ero {
+                        division: 4,
+                        profile: JitterProfile::Date14
+                    };
+                    3
+                ],
+                options: PoolOptions::default(),
+            }
+        );
+        // Each rejection names what to write instead.
+        let reason = |spec: &str| SourceSpec::parse(spec).unwrap_err().to_string();
+        for (spec, ring) in [
+            ("xor:0", "`ero:8:strong`"),
+            ("xor:1", "`ero:8:strong`"),
+            ("xor:1:16:date14", "`ero:16:date14`"),
+        ] {
+            assert!(reason(spec).contains(ring), "{spec}: {}", reason(spec));
+        }
+        let nested = reason("pool:ero:4+xor:2:8");
+        assert!(
+            nested.contains("pools do not nest") && nested.contains("`ero:8:strong` each"),
+            "{nested}"
         );
     }
 
@@ -907,26 +849,24 @@ mod tests {
 
     #[test]
     fn xor_source_combines_rings() {
-        let mut src = XorRingSource::new(2, 4, JitterProfile::Strong, 5).unwrap();
+        let mut src = SourceSpec::parse("xor:2:4").unwrap().build(5).unwrap();
         let mut bits = vec![0u8; 1_000];
         src.fill_bits(&mut bits).unwrap();
         assert!(bits.iter().all(|&b| b <= 1));
+        // Each ring is a pool child with its own lanes, serving at its own claim,
+        // and the mix credits their piling-up combination.
         let single = EroSource::new(4, JitterProfile::Strong, 5).unwrap();
+        let children = src.children_status();
+        assert_eq!(children.len(), 2);
+        for child in &children {
+            assert_eq!(child.label, single.label());
+            assert_eq!(child.state, "serving");
+            assert_eq!(child.credited_entropy_per_bit, single.entropy_per_bit());
+        }
         assert!(src.entropy_per_bit() >= single.entropy_per_bit());
-        // `xor:K` credits through the piling-up lemma, exactly as a pool of the same
-        // rings does.
-        let claim = |spec: &str| {
-            SourceSpec::parse(spec)
-                .unwrap()
-                .build(5)
-                .unwrap()
-                .entropy_per_bit()
-        };
-        let xor = claim("xor:2:1:date14");
-        let pool = claim("pool:ero:1:date14+ero:1:date14");
-        assert!(
-            (xor - pool).abs() < 1e-12,
-            "xor:2 claims {xor}, the pool {pool}"
+        assert_eq!(
+            src.label(),
+            format!("pool({} ⊕ {})", single.label(), single.label())
         );
     }
 

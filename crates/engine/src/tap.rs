@@ -126,8 +126,10 @@ impl EntropyTap {
         self.metrics.snapshot()
     }
 
-    /// Number of alarms raised so far (lock-free; workers record alarms at alarm
-    /// time, so this is accurate even while no one is drawing).
+    /// Number of entries on the alarm trail so far: terminal shard alarms plus
+    /// every non-terminal pool child quarantine and reinstatement, so a pool that
+    /// keeps serving can still count many (lock-free; workers record alarms at
+    /// alarm time, so this is accurate even while no one is drawing).
     pub fn alarm_count(&self) -> usize {
         self.metrics.alarms() as usize
     }

@@ -42,11 +42,13 @@ OPTIONS:
     --source SPEC       ero[:DIV[:PROFILE]] | xor:K[:DIV[:PROFILE]] |
                         div:D1,D2,...[:PROFILE] | model[:P_ONE] |
                         pool:CHILD+CHILD+... (mix ≥2 child specs) [default: ero:16]
-                        PROFILE = strong | date14
+                        PROFILE = strong | date14; xor:K (K ≥ 2, DIV default 8)
+                        is the pool of K ero:DIV:PROFILE rings
     --fault PLAN        inject a deterministic fault into one pool child:
                         child=N,at=SIZE,kind=KIND[,for=SIZE][,ms=N][,p=F][,seed=N]
                         KIND = stuck | bias-drift | variance-collapse | stall |
-                        intermittent | overclaim (requires --source pool:...)
+                        intermittent | overclaim (requires --source pool:... or
+                        xor:K)
     --budget SIZE       stop after SIZE output bytes (e.g. 4096, 512KiB, 1MiB, 2GiB);
                         omit to stream until interrupted
     --seed N            base seed; shard i derives its own        [default: 0]

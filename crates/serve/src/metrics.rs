@@ -120,7 +120,9 @@ pub fn render_prometheus_into(
     );
     enc.scalar(
         "ptrng_alarms_total",
-        "Shard health alarms (RCT, APT, startup battery, thermal collapse).",
+        "Entries on the alarm trail: terminal shard alarms (RCT, APT, startup battery, \
+         thermal, audit overclaim, source failure) plus every non-terminal pool child \
+         quarantine and reinstatement.",
         MetricKind::Counter,
         engine.alarms,
     );
@@ -325,28 +327,6 @@ pub fn render_prometheus_into(
     }
 }
 
-/// Renders the engine snapshot plus the server counters as Prometheus text (the
-/// counter families only; `/metrics` composes the histogram families onto the
-/// same encoder via [`render_prometheus_into`]).
-pub fn render_prometheus(
-    engine: &MetricsSnapshot,
-    server: &ServerMetrics,
-    min_entropy_per_bit: f64,
-    live_shards: usize,
-    serving: bool,
-) -> String {
-    let mut enc = TextEncoder::new();
-    render_prometheus_into(
-        &mut enc,
-        engine,
-        server,
-        min_entropy_per_bit,
-        live_shards,
-        serving,
-    );
-    enc.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,7 +396,9 @@ mod tests {
         server.record_selftest(false);
         server.record_selftest(true);
 
-        let text = render_prometheus(&engine, &server, 0.9973, 2, true);
+        let mut enc = TextEncoder::new();
+        render_prometheus_into(&mut enc, &engine, &server, 0.9973, 2, true);
+        let text = enc.finish();
         for family in [
             "ptrng_raw_bits_total 16384",
             "ptrng_output_bytes_total 2048",

@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use ptrng_ais::estimators::MIN_BATTERY_BITS;
 use ptrng_engine::audit::{AuditConfig, EntropyAudit, DEFAULT_AUDIT_WINDOW_BITS};
 use ptrng_engine::expanded::{DrbgPolicy, ExpandedTap};
-use ptrng_engine::metrics::ShardAlarm;
+use ptrng_engine::metrics::{EngineMetrics, ShardAlarm};
 use ptrng_engine::observatory::Observatory;
 use ptrng_engine::pool::{Engine, EngineConfig};
 use ptrng_engine::tap::EntropyTap;
@@ -1457,7 +1457,12 @@ fn metrics(state: &SharedState, keep_alive: bool, head_only: bool) -> Routed {
             tap.live_shards(),
             true,
         ),
-        Supply::Refusing { accounted, .. } => (empty_snapshot(state.shards), *accounted, 0, false),
+        Supply::Refusing { accounted, .. } => (
+            EngineMetrics::new(state.shards).snapshot(),
+            *accounted,
+            0,
+            false,
+        ),
     };
     let mut enc = TextEncoder::new();
     render_prometheus_into(&mut enc, &snapshot, &state.metrics, h, live, serving);
@@ -1507,28 +1512,6 @@ fn metrics(state: &SharedState, keep_alive: bool, head_only: bool) -> Routed {
     let text = enc.finish();
     let head = ResponseHead::new(200).header("Content-Type", "text/plain; version=0.0.4");
     finish(state, &head, text.as_bytes(), keep_alive, head_only)
-}
-
-fn empty_snapshot(shards: usize) -> ptrng_engine::metrics::MetricsSnapshot {
-    ptrng_engine::metrics::MetricsSnapshot {
-        total_raw_bits: 0,
-        total_output_bytes: 0,
-        total_batches: 0,
-        total_accounted_entropy_bits: 0.0,
-        alarms: 0,
-        audits: Vec::new(),
-        pool_children: Vec::new(),
-        per_shard: (0..shards)
-            .map(|shard| ptrng_engine::metrics::ShardSnapshot {
-                shard,
-                raw_bits: 0,
-                output_bytes: 0,
-                batches: 0,
-                entropy_per_output_bit: 0.0,
-                accounted_entropy_bits: 0.0,
-            })
-            .collect(),
-    }
 }
 
 fn error_body(error: &str, detail: &str) -> String {

@@ -6,7 +6,7 @@
 //! relative jitter of the two rings.  This crate provides:
 //!
 //! * [`ero`] — the sampler/digitizer producing the raw binary sequence,
-//! * [`postprocess`] — algebraic post-processing (XOR decimation, von Neumann, parity),
+//! * [`postprocess`] — algebraic post-processing (XOR decimation, von Neumann),
 //! * [`conditioning`] — the streaming conditioning pipeline: composable stages
 //!   (XOR decimation, von Neumann, a SHA-256 vetted conditioner) threading an
 //!   end-to-end [`conditioning::EntropyLedger`] from the stochastic model's

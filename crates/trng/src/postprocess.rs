@@ -52,59 +52,6 @@ pub fn von_neumann(bits: &[u8]) -> Result<Vec<u8>> {
         .collect())
 }
 
-/// Allocation-free variant of [`xor_decimate`]: appends into a caller-provided buffer
-/// (cleared first), so a generation hot path can reuse one scratch vector per batch.
-///
-/// # Errors
-///
-/// Same conditions as [`xor_decimate`].
-pub fn xor_decimate_into(bits: &[u8], factor: usize, out: &mut Vec<u8>) -> Result<()> {
-    ensure_bits(bits)?;
-    if factor == 0 {
-        return Err(TrngError::InvalidParameter {
-            name: "factor",
-            reason: "the decimation factor must be at least 1".to_string(),
-        });
-    }
-    out.clear();
-    out.extend(
-        bits.chunks_exact(factor)
-            .map(|chunk| chunk.iter().fold(0u8, |acc, &b| acc ^ b)),
-    );
-    Ok(())
-}
-
-/// Allocation-free variant of [`von_neumann`]: appends into a caller-provided buffer
-/// (cleared first).
-///
-/// # Errors
-///
-/// Same conditions as [`von_neumann`].
-pub fn von_neumann_into(bits: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    ensure_bits(bits)?;
-    out.clear();
-    out.extend(
-        bits.chunks_exact(2)
-            .filter_map(|pair| match (pair[0], pair[1]) {
-                (0, 1) => Some(0u8),
-                (1, 0) => Some(1u8),
-                _ => None,
-            }),
-    );
-    Ok(())
-}
-
-/// Parity of non-overlapping blocks of `block` bits (a generalized XOR decimation kept
-/// for API symmetry with hardware descriptions that express the corrector as a parity
-/// filter).
-///
-/// # Errors
-///
-/// Returns an error when `block == 0` or the input contains non-bit values.
-pub fn block_parity(bits: &[u8], block: usize) -> Result<Vec<u8>> {
-    xor_decimate(bits, block)
-}
-
 /// Theoretical bias of the XOR of `factor` independent bits that each have bias
 /// `epsilon` (piling-up lemma): `2^{factor-1}·epsilon^{factor}`.
 ///
@@ -155,18 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_the_allocating_forms() {
-        let bits = [1u8, 0, 1, 1, 1, 1, 0, 0, 1, 0];
-        let mut scratch = vec![9u8; 3];
-        xor_decimate_into(&bits, 3, &mut scratch).unwrap();
-        assert_eq!(scratch, xor_decimate(&bits, 3).unwrap());
-        von_neumann_into(&bits, &mut scratch).unwrap();
-        assert_eq!(scratch, von_neumann(&bits).unwrap());
-        assert!(xor_decimate_into(&bits, 0, &mut scratch).is_err());
-        assert!(von_neumann_into(&[2], &mut scratch).is_err());
-    }
-
-    #[test]
     fn von_neumann_removes_bias_entirely() {
         let mut rng = StdRng::seed_from_u64(42);
         let biased: Vec<u8> = (0..400_000).map(|_| u8::from(rng.gen_bool(0.7))).collect();
@@ -191,15 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn block_parity_is_xor_decimation() {
-        let bits = [1u8, 1, 0, 0, 1, 0];
-        assert_eq!(
-            block_parity(&bits, 2).unwrap(),
-            xor_decimate(&bits, 2).unwrap()
-        );
-    }
-
-    #[test]
     fn error_paths() {
         assert!(xor_decimate(&[0, 1], 0).is_err());
         assert!(xor_decimate(&[0, 2], 2).is_err());
@@ -213,46 +139,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// The `_into` variants equal the allocating forms for every input —
-            /// including empty inputs, non-byte-aligned lengths and factor 1 — and a
-            /// dirty scratch buffer from a previous call never leaks into the result.
-            #[test]
-            fn xor_decimate_into_matches_for_all_inputs(
-                bits in proptest::collection::vec(0u8..=1, 0..512),
-                factor in 1usize..9,
-                garbage in proptest::collection::vec(0u8..=255, 0..32),
-            ) {
-                let mut scratch = garbage.clone();
-                xor_decimate_into(&bits, factor, &mut scratch).unwrap();
-                prop_assert_eq!(&scratch, &xor_decimate(&bits, factor).unwrap());
-                prop_assert_eq!(scratch.len(), bits.len() / factor);
-                if factor == 1 {
-                    prop_assert_eq!(&scratch, &bits);
-                }
-                // Scratch reuse across calls: a second, shorter input fully
-                // replaces the previous contents.
-                let shorter = &bits[..bits.len() / 2];
-                xor_decimate_into(shorter, factor, &mut scratch).unwrap();
-                prop_assert_eq!(scratch, xor_decimate(shorter, factor).unwrap());
-            }
-
-            #[test]
-            fn von_neumann_into_matches_for_all_inputs(
-                bits in proptest::collection::vec(0u8..=1, 0..512),
-                garbage in proptest::collection::vec(0u8..=255, 0..32),
-            ) {
-                let mut scratch = garbage.clone();
-                von_neumann_into(&bits, &mut scratch).unwrap();
-                let reference = von_neumann(&bits).unwrap();
-                prop_assert_eq!(&scratch, &reference);
-                // Output bits are bits, and at most one per pair is kept.
-                prop_assert!(reference.iter().all(|&b| b <= 1));
-                prop_assert!(reference.len() <= bits.len() / 2);
-                // Scratch reuse across calls.
-                von_neumann_into(&bits, &mut scratch).unwrap();
-                prop_assert_eq!(scratch, reference);
-            }
-
             /// Piling-up bias shrinks monotonically with the factor and stays in
             /// the valid bias domain.
             #[test]

@@ -391,6 +391,47 @@ fn pool_stuck_fault_drill_quarantines_reaccounts_and_reinstates() {
     assert_eq!(child.status.reinstatements, 1);
 }
 
+/// The dead-ring drill: `xor:3` is a pool of three rings, so a ring that goes
+/// stuck for good is quarantined alone (and relapses on every probation) while
+/// the other two keep the stream going at the reduced credit.
+#[test]
+fn xor_rings_quarantine_a_dead_ring_and_keep_serving() {
+    let config = EngineConfig::new(SourceSpec::parse("xor:3").unwrap())
+        .seed(1)
+        .budget_bytes(Some(64 * 1024))
+        .fault(Some(
+            FaultPlan::parse("child=1,at=16KiB,kind=stuck").unwrap(),
+        ));
+    let mut engine = Engine::spawn(config).unwrap();
+    let bytes = engine
+        .read_to_end()
+        .expect("a dead ring must not end the stream");
+    assert_eq!(bytes.len(), 64 * 1024);
+
+    let snapshot = engine.metrics().snapshot();
+    let ring = snapshot
+        .pool_children
+        .iter()
+        .find(|c| c.status.child == 1)
+        .expect("ring 1 is published in the snapshot");
+    assert_ne!(ring.status.state, "serving", "{ring:?}");
+    assert!(ring.status.quarantines >= 1, "{ring:?}");
+    assert_eq!(ring.status.credited_entropy_per_bit, 0.0);
+
+    let trail = engine.metrics().alarm_reasons();
+    let quarantines: Vec<_> = trail
+        .iter()
+        .filter(|alarm| alarm.kind == AlarmKind::SourceQuarantined)
+        .collect();
+    assert!(!quarantines.is_empty(), "no quarantine in {trail:?}");
+    for alarm in &quarantines {
+        assert!(alarm.reason.starts_with("child 1 "), "{alarm:?}");
+    }
+    // `ptrng_alarms_total` counts every trail entry, non-terminal ones included.
+    assert_eq!(engine.metrics().alarms(), trail.len() as u64);
+    engine.join().unwrap();
+}
+
 /// Fail-closed: when every child is out of the mix (a scripted permanent fault
 /// on one child, a natural health alarm on the other) the pool refuses to
 /// fabricate output and the shard surfaces a terminal source failure instead of
@@ -548,12 +589,15 @@ fn thermal_test_on_model_source_fails_fast() {
     let model = PhaseNoiseModel::date14_experiment();
     let thermal =
         OnlineTestConfig::new(model.frequency(), model.thermal_period_jitter(), 0.5).unwrap();
-    let config = EngineConfig::new(SourceSpec::model(0.5).unwrap())
-        .health(HealthConfig::default().with_thermal(thermal));
-    match Engine::spawn(config) {
-        Err(EngineError::InvalidParameter { name, .. }) => assert_eq!(name, "health.thermal"),
-        Err(other) => panic!("unexpected error: {other}"),
-        Ok(_) => panic!("thermal test on a model source must be rejected"),
+    // A pool, `xor:K` included, has no sweep of its own either.
+    for spec in ["model", "xor:2"] {
+        let config = EngineConfig::new(SourceSpec::parse(spec).unwrap())
+            .health(HealthConfig::default().with_thermal(thermal.clone()));
+        match Engine::spawn(config) {
+            Err(EngineError::InvalidParameter { name, .. }) => assert_eq!(name, "health.thermal"),
+            Err(other) => panic!("{spec}: unexpected error: {other}"),
+            Ok(_) => panic!("thermal test on a `{spec}` source must be rejected"),
+        }
     }
 }
 

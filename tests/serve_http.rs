@@ -273,10 +273,21 @@ fn entropy_deficit_answers_503_with_the_ledger_body() {
     assert!(text.contains("\"status\":\"refusing\""), "{text}");
     assert!(text.contains("\"required_min_entropy\":0.997"), "{text}");
 
-    // metrics report the refusal state instead of lying about throughput.
+    // metrics report the refusal state instead of lying about throughput: the
+    // engine's zero snapshot, one series per configured shard.
     let metrics = get(server.addr, "/metrics");
     assert_eq!(metrics.status, 200);
-    assert!(metrics.body_text().contains("ptrng_serving 0"));
+    let text = metrics.body_text();
+    for line in [
+        "ptrng_serving 0",
+        "ptrng_shard_output_bytes_total{shard=\"0\"} 0",
+        "ptrng_accounted_entropy_bits_total 0.000",
+    ] {
+        assert!(
+            text.lines().any(|l| l == line),
+            "missing `{line}` in:\n{text}"
+        );
+    }
 }
 
 #[test]

@@ -61,12 +61,13 @@ const ANCHORS: [(&str, &str, usize, u64, &str); 5] = [
         65_536,
         "d5a27e9c6eb60886844523874563786f661ab4311ef8bf18e78688bd67d69139",
     ),
+    // `xor:2` is `pool:ero:8+ero:8`: the digest is that pool's served stream.
     (
         "xor:2",
         "xor:2,sha256",
         8192,
         65_536,
-        "4d2ab45debc9156e20ebbdc2bda3da362f90f97f6401b248c4529d97a60e8e8c",
+        "51df71c917913b9901580d2bef54286d83a64ca89c628dc8416f33d7ef1deb0b",
     ),
 ];
 
@@ -93,12 +94,15 @@ const MATRIX: [(&str, &str, Expect); 30] = [
     ("ero:16:strong", "xor:2", Digests(["8efe67c92f86498f", "8efe67c92f86498f", "8cf30ac1af9acc50", "8cf30ac1af9acc50"])),
     ("ero:16:strong", "vn", Digests(["b0693055e83175cc", "b0693055e83175cc", "f751f1f33e8ce5bc", "f751f1f33e8ce5bc"])),
     ("ero:16:strong", "xor:2,sha256", Digests(["1bb80d1b4f556440", "1bb80d1b4f556440", "f685a14a5a64b0b0", "f685a14a5a64b0b0"])),
-    ("xor:2", "none", Digests(["bfd8da5447efaaa9", "bfd8da5447efaaa9", "769e1b62b4ed2a23", "769e1b62b4ed2a23"])),
-    ("xor:2", "sha256", Digests(["e249aebd3066fe0f", "e249aebd3066fe0f", "91e0e754eced669e", "91e0e754eced669e"])),
-    ("xor:2", "sha256:3", Digests(["d73aedd5ab2fe7f2", "d73aedd5ab2fe7f2", "131815fa68bcf805", "131815fa68bcf805"])),
-    ("xor:2", "xor:2", Digests(["98475edcfa0408e2", "98475edcfa0408e2", "8bc905c6c7c60a5e", "8bc905c6c7c60a5e"])),
-    ("xor:2", "vn", Digests(["b245035f0cf3edfa", "b245035f0cf3edfa", "ec9c5fe8511f8d09", "ec9c5fe8511f8d09"])),
-    ("xor:2", "xor:2,sha256", Digests(["9d7723ec5d95afab", "9d7723ec5d95afab", "6d43713e90b73cbe", "6d43713e90b73cbe"])),
+    // `xor:2` parses to `pool:ero:8+ero:8`, and these rows are that pool's digests as
+    // `ptrngd --shards 1 --seed S --source pool:ero:8+ero:8 --conditioner C
+    // --batch-bits N --budget 4096 | sha256sum` printed them.
+    ("xor:2", "none", Digests(["08ded8664a293bec", "08ded8664a293bec", "79e5d9f4a835e3ab", "79e5d9f4a835e3ab"])),
+    ("xor:2", "sha256", Digests(["b82e329103ba2220", "b82e329103ba2220", "f23795fa31c17971", "f23795fa31c17971"])),
+    ("xor:2", "sha256:3", Digests(["38c4ecd57fabd781", "38c4ecd57fabd781", "541dbfcbde8deab4", "541dbfcbde8deab4"])),
+    ("xor:2", "xor:2", Digests(["b95fbd457e4a1e88", "b95fbd457e4a1e88", "f3c822657db8c4e9", "f3c822657db8c4e9"])),
+    ("xor:2", "vn", Digests(["66b8b6a352454a9b", "66b8b6a352454a9b", "cc1dd780e437e676", "cc1dd780e437e676"])),
+    ("xor:2", "xor:2,sha256", Digests(["2cd14d76e905d82f", "2cd14d76e905d82f", "6e70fac2dfbbe912", "6e70fac2dfbbe912"])),
     ("div:8,16", "none", Digests(["d4d556ce56903e65", "055b664acbdef850", "0af73fa00f4f6574", "32be670f14e66f57"])),
     ("div:8,16", "sha256", Digests(["53255aab7d00f2dc", "6b526c69adfcaa48", "de066dd23a4e72a2", "9bdf78004811b05e"])),
     ("div:8,16", "sha256:3", Digests(["a3b14962a45f6009", "1dd5b26683bbe622", "308bf57e4233ae3e", "99ed94d35b18123d"])),
