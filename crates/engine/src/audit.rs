@@ -32,6 +32,7 @@ use std::time::Instant;
 use ptrng_ais::estimators::{
     counting_estimates, EstimatorBattery, EstimatorResult, EstimatorTiming, MIN_BATTERY_BITS,
 };
+use ptrng_obs::probe::elapsed_ns;
 use serde::{Deserialize, Serialize};
 
 use crate::{EngineError, Result};
@@ -218,6 +219,17 @@ pub struct AuditSnapshot {
     pub last_weakest: String,
 }
 
+impl AuditSnapshot {
+    /// Renders the human-readable alarm reason for an overclaimed window.
+    pub(crate) fn alarm_reason(&self) -> String {
+        format!(
+            "entropy audit ({}): battery estimate {:.4}/bit ({}) is below \
+             claim {:.4} − margin {:.2}",
+            self.lane, self.last_estimate, self.last_weakest, self.claim, self.margin
+        )
+    }
+}
+
 /// Full audit report (the JSON body `ptrngd validate` and `/selftest` emit,
 /// mirroring the ledger's rendering conventions).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -236,6 +248,20 @@ pub struct AuditReport {
     pub overclaims: u64,
     /// The most recent window's outcome.
     pub latest: Option<WindowAudit>,
+}
+
+/// One call into an audit that completed a window, as handed on for recording.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AuditRecord {
+    /// The audit's summary after the call.
+    pub snapshot: AuditSnapshot,
+    /// Per-unit battery timings of the last window the call completed.
+    pub timings: Vec<EstimatorTiming>,
+    /// Wall-clock nanoseconds of the call (the battery dominates it).
+    pub battery_ns: u64,
+    /// Whether a window the call completed put the estimate below the claim
+    /// minus the margin.
+    pub overclaimed: bool,
 }
 
 /// Streaming audit accumulator: feed bits (or packed bytes), get per-window
@@ -336,6 +362,23 @@ impl EntropyAudit {
         })
     }
 
+    /// [`EntropyAudit::observe_bits`], timed: returns the record of a call that
+    /// completed a window.
+    pub(crate) fn observe_record(&mut self, bits: &[u8]) -> Result<Option<AuditRecord>> {
+        let overclaims = self.overclaims;
+        let start = Instant::now();
+        let Some(window) = self.observe_bits(bits)? else {
+            return Ok(None);
+        };
+        let timings = window.timings.clone();
+        Ok(Some(AuditRecord {
+            battery_ns: elapsed_ns(start),
+            timings,
+            overclaimed: self.overclaims > overclaims,
+            snapshot: self.snapshot(),
+        }))
+    }
+
     /// Feeds packed output bytes (MSB-first, the engine's byte representation).
     ///
     /// # Errors
@@ -361,10 +404,19 @@ impl EntropyAudit {
         Ok(None)
     }
 
-    /// Audits one completed window: the full battery on a recompute window,
-    /// otherwise the counting members plus the cached expensive results.
+    /// Starts a fresh window: drops the buffered bits and the cached expensive
+    /// results, so the next window runs the full battery over bits observed from
+    /// now on.  The window and overclaim counts keep counting.
+    pub(crate) fn restart(&mut self) {
+        self.pending.clear();
+        self.cached_expensive.clear();
+    }
+
+    /// Audits one completed window: the full battery on a recompute window or
+    /// when no expensive results are cached, otherwise the counting members plus
+    /// the cached expensive results.
     fn audit_window(&mut self, window: &[u8]) -> Result<()> {
-        if self.config.cadence.recompute_at(self.windows) {
+        if self.cached_expensive.is_empty() || self.config.cadence.recompute_at(self.windows) {
             return self.record_full_battery(window);
         }
         let start = Instant::now();
@@ -434,19 +486,6 @@ impl EntropyAudit {
             latest: self.latest.clone(),
         }
     }
-
-    /// Renders the human-readable alarm reason for an overclaimed window.
-    pub(crate) fn alarm_reason(&self) -> String {
-        let (estimate, weakest) = self
-            .latest
-            .as_ref()
-            .map_or((0.0, ""), |w| (w.estimate, w.weakest.as_str()));
-        format!(
-            "entropy audit ({}): battery estimate {estimate:.4}/bit ({weakest}) is below \
-             claim {:.4} − margin {:.2}",
-            self.lane, self.claim, self.config.margin
-        )
-    }
 }
 
 #[cfg(test)]
@@ -490,7 +529,10 @@ mod tests {
         audit.observe_bits(&bits(1 << 14, 0.95, 2)).unwrap();
         assert!(audit.overclaimed());
         assert!(audit.latest().unwrap().overclaim);
-        assert!(audit.alarm_reason().contains("entropy audit (raw)"));
+        assert!(audit
+            .snapshot()
+            .alarm_reason()
+            .contains("entropy audit (raw)"));
         let snap = audit.snapshot();
         assert_eq!(snap.overclaims, 1);
         assert!((snap.claim - 0.9).abs() < 1e-15);
@@ -573,6 +615,45 @@ mod tests {
         }
         assert_eq!((full, counting), (2, 3));
         assert_eq!(cadenced.windows(), 5);
+    }
+
+    #[test]
+    fn a_restart_drops_the_open_window_and_recomputes_the_next() {
+        // A k = 4 lane: window 0 runs the full battery and window 1 the counting
+        // members.  A restart drops the half window then buffered, so the next
+        // window holds only bits observed after it, and runs the full battery
+        // although the cadence would reuse the cache; the counts keep counting.
+        const W: usize = 1 << 14;
+        let config = AuditConfig::default()
+            .window_bits(W)
+            .margin(0.5)
+            .cadence(AuditCadence::EveryKWindows(4));
+        let mut audit = EntropyAudit::new("raw", 1.0, config).unwrap();
+        let data = bits(4 * W, 0.5, 22);
+        let names = |window: Option<&WindowAudit>| -> Vec<String> {
+            let window = window.expect("a window completes");
+            window.timings.iter().map(|t| t.name.clone()).collect()
+        };
+        assert_eq!(
+            names(audit.observe_bits(&data[..W]).unwrap()),
+            BATTERY_UNIT_NAMES
+        );
+        assert_eq!(
+            names(audit.observe_bits(&data[W..2 * W]).unwrap()),
+            [COUNTER_TIMING_LABEL]
+        );
+        assert!(audit
+            .observe_bits(&data[2 * W..2 * W + W / 2])
+            .unwrap()
+            .is_none());
+        audit.restart();
+        let after = &data[2 * W + W / 2..];
+        assert_eq!(
+            names(audit.observe_bits(&after[..W]).unwrap()),
+            BATTERY_UNIT_NAMES
+        );
+        assert!(audit.observe_bits(&after[W..W + W / 2]).unwrap().is_none());
+        assert_eq!(audit.windows(), 3);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::audit::AuditRecord;
 use crate::source::{ChildStatus, EntropySource, SourceEvent};
 use crate::{EngineError, Result};
 
@@ -354,6 +355,10 @@ impl EntropySource for FaultSource {
 
     fn poll_events(&mut self) -> Vec<SourceEvent> {
         self.inner.poll_events()
+    }
+
+    fn poll_audits(&mut self) -> Vec<(usize, AuditRecord)> {
+        self.inner.poll_audits()
     }
 
     fn current_entropy_per_bit(&self) -> f64 {

@@ -4,9 +4,10 @@
 //! *runs* one at scale.  It turns the simulated generators into a serving system:
 //!
 //! * [`source`] — the [`source::EntropySource`] trait plus pluggable implementations:
-//!   the paper's eRO-TRNG, a divided-sampler variant sweeping accumulation depths
-//!   across the paper's `r_N = K/(K+N)` regime, and a fast calibrated
-//!   stochastic-model source for scale testing,
+//!   the paper's eRO-TRNG and a fast calibrated stochastic-model source for scale
+//!   testing; every shard and every pool child draws its source through one
+//!   crate-private raw-bit lane (`SourceLane`: RCT/APT, the `σ²_N` sweep cadence,
+//!   an optional audit and an optional stall watchdog),
 //! * [`pooled`] — the one XOR combiner ([`pooled::PoolSource`]): N child sources
 //!   mixed bit for bit, each with its own health lanes and quarantine; the
 //!   multi-ring `xor:K` spec is a pool of K identical eRO children,
@@ -71,6 +72,7 @@ pub mod audit;
 pub mod expanded;
 pub mod fault;
 pub mod health;
+mod lane;
 pub mod metrics;
 pub mod observatory;
 pub mod pool;

@@ -1,5 +1,5 @@
 //! The sharded worker pool: one independently-seeded source per shard, each feeding
-//! the bounded batch channel through its own health monitor.
+//! the bounded batch channel through its own raw-bit lane.
 //!
 //! Design notes:
 //!
@@ -10,9 +10,11 @@
 //!   consumer lags, workers block on `send` instead of buffering unboundedly.
 //! * **Budgets** — an optional byte budget is claimed atomically per batch across all
 //!   shards; workers stop as soon as the budget is spent.
-//! * **Health gating** — raw bits pass through the shard's [`HealthMonitor`] *before*
-//!   conditioning; output is withheld until the startup battery passes, and an
-//!   alarm terminates the shard with an error on the stream.
+//! * **Health gating** — raw bits are drawn through the shard's raw-bit lane
+//!   (`SourceLane`: RCT/APT, the `σ²_N` thermal sweep, the raw audit) *before*
+//!   conditioning, the same lane every pool child runs.  The worker keeps the
+//!   conditioned half: output is withheld until the startup battery passes, and
+//!   an alarm or a tripped lane terminates the shard with an error on the stream.
 //! * **Entropy accounting** — every shard's pipeline carries an
 //!   [`EntropyLedger`]: seeded from the source's model-backed (dependent-jitter-aware)
 //!   claim, folded through the configured [`ConditionerSpec`], calibrating the
@@ -34,9 +36,10 @@ use ptrng_trng::conditioning::{
     XorDecimateStage, SHA256_DEFAULT_RATIO,
 };
 
-use crate::audit::{AuditConfig, EntropyAudit};
+use crate::audit::{AuditConfig, AuditRecord, EntropyAudit};
 use crate::fault::FaultPlan;
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
+use crate::lane::{SourceLane, Trip, DEFAULT_SWEEP_CADENCE};
 use crate::metrics::{AlarmKind, EngineMetrics};
 use crate::observatory::Observatory;
 use crate::source::{derive_seed, EntropySource, SourceSpec};
@@ -211,8 +214,9 @@ pub struct EngineConfig {
     pub min_output_entropy: Option<f64>,
     /// Health-monitor configuration shared by every shard.
     pub health: HealthConfig,
-    /// When a thermal online test is configured, run one `σ²_N` counter sweep every
-    /// this many generated batches per shard.
+    /// When a thermal online test is configured, run one `σ²_N` counter sweep on a
+    /// shard's first batch and then every this many batches (default 64, the
+    /// cadence pool children always use).
     pub thermal_check_batches: usize,
     /// Optional streaming entropy audit: shard 0 runs the SP 800-90B §6.3 estimator
     /// battery over windows of its raw (and, for non-identity chains, conditioned)
@@ -247,7 +251,7 @@ impl EngineConfig {
             conditioner: ConditionerSpec::none(),
             min_output_entropy: None,
             health: HealthConfig::default(),
-            thermal_check_batches: 64,
+            thermal_check_batches: DEFAULT_SWEEP_CADENCE,
             audit: None,
             audit_every_lane: false,
             fault: None,
@@ -565,24 +569,20 @@ impl Engine {
                     })
                     .collect(),
             );
-            let audit_probe = |lane: u64| {
-                Probe::new(Arc::clone(obs.audit_histogram()), EventKind::AuditWindow)
-                    .with_recorder(Arc::clone(&recorder), Some(shard_id))
-                    .with_tag(lane)
-            };
-            let source_label = source.label();
-            let source_claim = source.entropy_per_bit();
             let worker = ShardWorker {
                 shard,
-                source,
-                source_label,
-                source_claim,
-                monitor,
+                source_label: source.label(),
+                source_claim: source.entropy_per_bit(),
+                lane: SourceLane::new(
+                    source,
+                    monitor,
+                    raw_audit,
+                    config.thermal_check_batches,
+                    None,
+                ),
                 chain,
-                raw_audit,
                 output_audit,
                 batch_bits: config.batch_bits,
-                thermal_check_batches: config.thermal_check_batches,
                 budget: Arc::clone(&budget),
                 metrics: Arc::clone(&metrics),
                 tx: tx.clone(),
@@ -591,8 +591,8 @@ impl Engine {
                     EventKind::BatchGenerated,
                 )
                 .with_recorder(Arc::clone(&recorder), Some(shard_id)),
-                raw_audit_probe: audit_probe(0),
-                output_audit_probe: audit_probe(1),
+                audit_probe: Probe::new(Arc::clone(obs.audit_histogram()), EventKind::AuditWindow)
+                    .with_recorder(Arc::clone(&recorder), Some(shard_id)),
                 recorder,
                 ledger_value: serde::Serialize::to_value(&output_ledgers[shard]),
                 obs: Arc::clone(&obs),
@@ -698,35 +698,36 @@ impl Iterator for Engine {
 
 struct ShardWorker {
     shard: usize,
-    source: Box<dyn EntropySource>,
+    /// The shard's raw-bit lane: its source, RCT/APT, thermal sweeps and raw audit.
+    lane: SourceLane,
     /// The source's label, cached for dynamic-ledger rebuilds.
     source_label: String,
     /// The source-level claim currently accounted (tracks
     /// [`EntropySource::current_entropy_per_bit`] for pools under quarantine).
     source_claim: f64,
-    monitor: HealthMonitor,
     chain: ConditioningChain,
-    /// Entropy audit over the raw noise-source bits (shard 0 only, opt-in).
-    raw_audit: Option<EntropyAudit>,
     /// Entropy audit over the conditioned bits (shard 0, non-identity chains).
     output_audit: Option<EntropyAudit>,
     batch_bits: usize,
-    thermal_check_batches: usize,
     budget: Arc<ByteBudget>,
     metrics: Arc<EngineMetrics>,
     tx: SyncSender<Message>,
     /// Whole-batch latency probe (histogram + `batch-generated` events).
     batch_probe: Probe,
-    /// Audit-battery probe for the raw lane (`audit-window` events, tag 0).
-    raw_audit_probe: Probe,
-    /// Audit-battery probe for the conditioned lane (`audit-window` events, tag 1).
-    output_audit_probe: Probe,
+    /// Audit-battery probe (`audit-window` events tagged with the lane index).
+    audit_probe: Probe,
     /// This shard's flight recorder (health verdicts, alarm capture).
     recorder: Arc<FlightRecorder>,
     /// The conditioned-output ledger as a JSON tree, embedded into postmortems.
     ledger_value: serde::Value,
     obs: Arc<Observatory>,
 }
+
+// `audit-window` lane indices: the shard's raw and conditioned lanes, and pool
+// child K at `POOL_CHILD_AUDIT_LANE + K`.
+const RAW_AUDIT_LANE: u64 = 0;
+const CONDITIONED_AUDIT_LANE: u64 = 1;
+const POOL_CHILD_AUDIT_LANE: u64 = 2;
 
 impl ShardWorker {
     fn run(mut self) {
@@ -780,19 +781,25 @@ impl ShardWorker {
         });
     }
 
-    /// Drains pool lifecycle events accumulated during the last fill and
-    /// re-accounts the dynamic entropy claim: when children enter or leave
-    /// quarantine the source's current claim changes, and the published
-    /// per-output-bit entropy (and the postmortem ledger) must follow it
-    /// honestly.  A no-op for simple sources.
+    /// Drains pool lifecycle events and child audit windows accumulated during
+    /// the last draw and re-accounts the dynamic entropy claim: when children
+    /// enter or leave quarantine the source's current claim changes, and the
+    /// published per-output-bit entropy (and the postmortem ledger) must follow
+    /// it honestly.  A no-op for simple sources.
     fn sync_source_state(&mut self) {
-        for event in self.source.poll_events() {
+        let source = &mut self.lane.source;
+        let (events, audits) = (source.poll_events(), source.poll_audits());
+        for event in events {
             self.notice(
                 event.kind,
                 &format!("child {} ({}): {}", event.child, event.label, event.reason),
             );
         }
-        let current = self.source.current_entropy_per_bit();
+        for (child, mut record) in audits {
+            record.snapshot.lane = format!("shard{}/{}", self.shard, record.snapshot.lane);
+            self.record_audit(POOL_CHILD_AUDIT_LANE + child as u64, record);
+        }
+        let current = self.lane.source.current_entropy_per_bit();
         if (current - self.source_claim).abs() > 1e-15 {
             self.source_claim = current;
             let output_claim = if current > 0.0 {
@@ -809,7 +816,7 @@ impl ShardWorker {
             self.metrics
                 .set_entropy_per_output_bit(self.shard, output_claim);
         }
-        let children = self.source.children_status();
+        let children = self.lane.source.children_status();
         if !children.is_empty() {
             self.metrics.record_pool_children(self.shard, children);
         }
@@ -824,61 +831,28 @@ impl ShardWorker {
         // Conditioned bits accepted while the startup battery is still judging.
         let mut holdback: Vec<u8> = Vec::new();
         let mut raw_bits_unpublished = 0u64;
-        let mut batches_since_sweep = 0usize;
-        let mut health_code = state_code(self.monitor.state());
+        let mut health_code = state_code(self.lane.monitor.state());
 
         loop {
             if self.budget.exhausted() {
                 return Ok(());
             }
             let batch_start = Instant::now();
-            let fill = self.source.fill_bits(&mut raw);
-            // Quarantine/reinstatement events must surface even when the fill
-            // itself failed (a pool whose last serving child just quarantined).
+            // The raw half: fill, RCT/APT, a σ²_N sweep when due, the raw audit.
+            let drawn = self.lane.draw(&mut raw);
+            // Quarantine/reinstatement events must surface before the shard acts
+            // on the draw, even when it tripped (a pool whose last serving child
+            // just quarantined).
             self.sync_source_state();
-            fill.map_err(WorkerExit::Source)?;
+            if let Some(record) = drawn.map_err(|trip| self.trip_exit(trip))? {
+                self.record_audit(RAW_AUDIT_LANE, record);
+            }
             raw_bits_unpublished += raw.len() as u64;
 
-            // Thermal online test: periodically acquire a σ²_N counter sweep from the
-            // source's physical model (validated available at spawn).
-            if self.monitor.has_thermal() {
-                if batches_since_sweep == 0 {
-                    let depths = crate::source::THERMAL_SWEEP_DEPTHS;
-                    if let Some(variances) = self
-                        .source
-                        .sigma2_sweep(&depths)
-                        .map_err(WorkerExit::Source)?
-                    {
-                        let depth_values: Vec<f64> = depths.iter().map(|&n| n as f64).collect();
-                        self.monitor
-                            .observe_sigma2_points(&depth_values, &variances)
-                            .map_err(WorkerExit::Source)?;
-                        if let HealthState::Alarmed(reason) = self.monitor.state() {
-                            return Err(WorkerExit::Alarm(reason.kind(), reason.to_string()));
-                        }
-                    }
-                }
-                batches_since_sweep = (batches_since_sweep + 1) % self.thermal_check_batches;
-            }
-
-            // SP 800-90B continuous tests run on the raw noise-source bits...
-            self.monitor
-                .observe_bits(&raw)
-                .map_err(WorkerExit::Source)?;
-            if let HealthState::Alarmed(reason) = self.monitor.state() {
-                return Err(WorkerExit::Alarm(reason.kind(), reason.to_string()));
-            }
-            Self::feed_audit(
-                &mut self.raw_audit,
-                &raw,
-                &self.metrics,
-                &self.raw_audit_probe,
-                &self.obs,
-            )?;
-
-            // ...while the FIPS startup battery judges the conditioned output.  The
-            // identity chain publishes `raw` directly (copy-free); real chains stream
-            // through the reusable scratch, carrying partial groups across batches.
+            // The conditioned half: the FIPS startup battery judges the conditioned
+            // output.  The identity chain publishes `raw` directly (copy-free); real
+            // chains stream through the reusable scratch, carrying partial groups
+            // across batches.
             let processed: &[u8] = if self.chain.is_identity() {
                 &raw
             } else {
@@ -889,22 +863,30 @@ impl ShardWorker {
                     .map_err(WorkerExit::Source)?;
                 &conditioned
             };
-            self.monitor
+            if let HealthState::Alarmed(reason) = self
+                .lane
+                .monitor
                 .observe_output_bits(processed)
-                .map_err(WorkerExit::Source)?;
-            if let HealthState::Alarmed(reason) = self.monitor.state() {
+                .map_err(WorkerExit::Source)?
+            {
                 return Err(WorkerExit::Alarm(reason.kind(), reason.to_string()));
             }
-            Self::feed_audit(
-                &mut self.output_audit,
-                processed,
-                &self.metrics,
-                &self.output_audit_probe,
-                &self.obs,
-            )?;
+            if let Some(audit) = &mut self.output_audit {
+                if let Some(record) = audit
+                    .observe_record(processed)
+                    .map_err(WorkerExit::Source)?
+                {
+                    let overclaim = record.overclaimed.then(|| record.snapshot.alarm_reason());
+                    self.record_audit(CONDITIONED_AUDIT_LANE, record);
+                    if let Some(reason) = overclaim {
+                        return Err(WorkerExit::Alarm(AlarmKind::AuditOverclaim, reason));
+                    }
+                }
+            }
             self.batch_probe
                 .record_tagged(elapsed_ns(batch_start), (processed.len() / 8) as u64);
-            let code = state_code(self.monitor.state());
+            let state = self.lane.monitor.state();
+            let code = state_code(state);
             if code != health_code {
                 self.recorder.record(
                     EventKind::HealthVerdict,
@@ -914,7 +896,7 @@ impl ShardWorker {
                 );
                 health_code = code;
             }
-            if matches!(self.monitor.state(), HealthState::Startup) {
+            if matches!(state, HealthState::Startup) {
                 holdback.extend_from_slice(processed);
                 continue;
             }
@@ -949,39 +931,37 @@ impl ShardWorker {
         }
     }
 
-    /// Streams one batch of bits through an audit lane; a completed window
-    /// publishes its summary to the metrics, and an overclaimed window terminates
-    /// the shard through the alarm path — the ledger's claim has been refuted by
-    /// the black-box battery, which is exactly as severe as a failed health test.
-    fn feed_audit(
-        audit: &mut Option<EntropyAudit>,
-        bits: &[u8],
-        metrics: &EngineMetrics,
-        probe: &Probe,
-        obs: &Observatory,
-    ) -> std::result::Result<(), WorkerExit> {
-        let Some(audit) = audit.as_mut() else {
-            return Ok(());
-        };
-        // Time the call that completes a window: the estimator battery dominates
-        // it, so its duration is (to buffering noise) the battery duration.
-        let start = Instant::now();
-        let timings = audit
-            .observe_bits(bits)
-            .map_err(WorkerExit::Source)?
-            .map(|window| window.timings.clone());
-        if let Some(timings) = timings {
-            probe.record_ns(elapsed_ns(start));
-            obs.record_estimator_timings(&timings);
-            metrics.record_audit(audit.snapshot());
-            if audit.overclaimed() {
-                return Err(WorkerExit::Alarm(
-                    AlarmKind::AuditOverclaim,
-                    audit.alarm_reason(),
-                ));
+    /// Turns a tripped raw lane into the shard's exit.  A latched test or an
+    /// overclaimed audit window is an alarm — the ledger's claim refuted by the
+    /// black-box battery is exactly as severe as a failed health test — and a
+    /// failed step is a source failure.
+    fn trip_exit(&self, trip: Trip) -> WorkerExit {
+        match trip {
+            Trip::Health(reason) => WorkerExit::Alarm(reason.kind(), reason.to_string()),
+            Trip::Overclaim(record) => {
+                let reason = record.snapshot.alarm_reason();
+                self.record_audit(RAW_AUDIT_LANE, *record);
+                WorkerExit::Alarm(AlarmKind::AuditOverclaim, reason)
             }
+            Trip::Fill(error)
+            | Trip::NonBit(error)
+            | Trip::Sweep(error)
+            | Trip::Fit(error)
+            | Trip::Audit(error) => WorkerExit::Source(error),
+            Trip::Stall { .. } => WorkerExit::Source(EngineError::SourceFault {
+                reason: trip.to_string(),
+            }),
         }
-        Ok(())
+    }
+
+    /// The one audit hookup, for the shard's own lanes and its pool's children
+    /// alike: the window's battery time feeds the audit histogram and an
+    /// `audit-window` event tagged with `lane`, its per-unit timings the
+    /// estimator histograms, and its summary the metrics.
+    fn record_audit(&self, lane: u64, record: AuditRecord) {
+        self.audit_probe.record_tagged(record.battery_ns, lane);
+        self.obs.record_estimator_timings(&record.timings);
+        self.metrics.record_audit(record.snapshot);
     }
 
     /// Blocking send: a worker parked on a full queue is woken by the channel both

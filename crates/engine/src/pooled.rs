@@ -10,15 +10,16 @@
 //!   the pool's credit is the conservative piling-up combination
 //!   ([`EntropyLedger::xor_mix`]) over the children *currently serving* — never
 //!   an independence-assuming sum;
-//! * every child runs its **own** RCT/APT lane, optional thermal lane (when the
-//!   child exposes `σ²_N` sweeps) and optional audit battery lane, calibrated
-//!   from that child's claim;
-//! * a child that alarms is **quarantined** — not drawn at all, so a stalled or
-//!   dead child cannot stall the pool — and its credit drops out of the mix the
-//!   same batch, while the pool keeps serving on the survivors;
-//! * after a cooldown the child enters **probation**: it is drawn again and
-//!   XOR-mixed at *zero credit*, observed by a fresh health monitor and audit
-//!   lane; after [`PoolOptions::probation_windows`] clean windows it is
+//! * every child is drawn through its **own** raw-bit lane (`SourceLane`, the
+//!   lane a shard runs too): RCT/APT, an optional thermal test (when the child
+//!   exposes `σ²_N` sweeps), an optional audit lane `pool-child-K` and the
+//!   stall watchdog, calibrated from that child's claim;
+//! * a child whose lane trips is **quarantined** — not drawn at all, so a stalled
+//!   or dead child cannot stall the pool — and its credit drops out of the mix
+//!   the same batch, while the pool keeps serving on the survivors;
+//! * after a cooldown the child enters **probation**: its lane restarts (a fresh
+//!   health monitor and audit window) and it is drawn and XOR-mixed again at
+//!   *zero credit*; after [`PoolOptions::probation_draws`] clean draws it is
 //!   **reinstated** at full credit.  Mixing junk at zero credit costs nothing only
 //!   while the junk is independent of the credited children: a child whose bits
 //!   track another child's cancels entropy in the XOR, and no per-child lane sees
@@ -27,21 +28,21 @@
 //! Transitions surface as non-terminal [`AlarmKind::SourceQuarantined`] /
 //! [`AlarmKind::SourceReinstated`] events drained by the shard worker through
 //! [`EntropySource::poll_events`], flowing into postmortems, `/healthz`,
-//! `/debug/trace` and the per-child Prometheus families.
+//! `/debug/trace` and the per-child Prometheus families; the children's audit
+//! windows reach the shard through [`EntropySource::poll_audits`].
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use ptrng_trng::conditioning::EntropyLedger;
 
-use crate::audit::{AuditConfig, EntropyAudit};
+use crate::audit::{AuditConfig, AuditRecord, EntropyAudit};
 use crate::fault::{FaultPlan, FaultSource};
-use crate::health::{HealthConfig, HealthMonitor, HealthState};
+use crate::health::{HealthConfig, HealthMonitor};
+use crate::lane::{SourceLane, Trip, DEFAULT_SWEEP_CADENCE};
 use crate::metrics::AlarmKind;
-use crate::source::{
-    derive_seed, ChildStatus, EntropySource, SourceEvent, SourceSpec, THERMAL_SWEEP_DEPTHS,
-};
+use crate::source::{derive_seed, ChildStatus, EntropySource, SourceEvent, SourceSpec};
 use crate::{EngineError, Result};
 
 /// Seed-derivation stream tag of pool children (`"pool"` in ASCII).
@@ -50,21 +51,18 @@ const POOL_SEED_TAG: u64 = 0x706f_6f6c;
 /// Quarantine/probation tuning of a [`PoolSource`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoolOptions {
-    /// Clean probation windows required to reinstate a child.
-    pub probation_windows: u32,
     /// Pool fills a quarantined child sits out before entering probation.
     pub quarantine_draws: u32,
-    /// Draws per probation window.
-    pub probation_window_draws: u32,
+    /// Consecutive clean probation draws that reinstate a child.
+    pub probation_draws: u32,
     /// Stall watchdog: a single child fill exceeding this many milliseconds
     /// quarantines the child; `None` disables the watchdog.
     pub stall_ms: Option<u64>,
-    /// Pool fills between `σ²_N` thermal sweeps of a sweep-capable child (only
-    /// meaningful when [`PoolOptions::health`] configures a thermal test).
-    pub thermal_check_draws: u32,
     /// Per-child health template.  The claim is always taken from each child's
     /// own ledger; the startup battery must stay disabled here (children emit
-    /// raw bits — the engine-level FIPS battery runs on the pooled output).
+    /// raw bits — the engine-level FIPS battery runs on the pooled output).  A
+    /// thermal test sweeps a sweep-capable child on its first draw and then every
+    /// 64 draws, the default shard cadence.
     pub health: HealthConfig,
     /// Optional per-child audit battery (lane `pool-child-K`), auditing each
     /// child's own claim — the tripwire for silent overclaims that marginal
@@ -75,11 +73,9 @@ pub struct PoolOptions {
 impl Default for PoolOptions {
     fn default() -> Self {
         Self {
-            probation_windows: 3,
             quarantine_draws: 8,
-            probation_window_draws: 4,
+            probation_draws: 12,
             stall_ms: Some(250),
-            thermal_check_draws: 64,
             health: HealthConfig::default().without_startup_battery(),
             audit: None,
         }
@@ -91,31 +87,19 @@ impl PoolOptions {
     ///
     /// # Errors
     ///
-    /// Returns an error for zero window/draw counts, a startup battery on the
-    /// per-child health template, or an invalid audit configuration.
+    /// Returns an error for zero draw counts, a startup battery on the per-child
+    /// health template, or an invalid audit configuration.
     pub fn validate(&self) -> Result<()> {
-        if self.probation_windows == 0 {
-            return Err(EngineError::InvalidParameter {
-                name: "pool.probation_windows",
-                reason: "at least one clean window is required to reinstate".to_string(),
-            });
-        }
         if self.quarantine_draws == 0 {
             return Err(EngineError::InvalidParameter {
                 name: "pool.quarantine_draws",
                 reason: "the quarantine cooldown must be at least one draw".to_string(),
             });
         }
-        if self.probation_window_draws == 0 {
+        if self.probation_draws == 0 {
             return Err(EngineError::InvalidParameter {
-                name: "pool.probation_window_draws",
-                reason: "a probation window must span at least one draw".to_string(),
-            });
-        }
-        if self.thermal_check_draws == 0 {
-            return Err(EngineError::InvalidParameter {
-                name: "pool.thermal_check_draws",
-                reason: "the thermal check interval must be at least one draw".to_string(),
+                name: "pool.probation_draws",
+                reason: "at least one clean draw is required to reinstate".to_string(),
             });
         }
         if self.health.startup_battery {
@@ -133,9 +117,10 @@ impl PoolOptions {
     }
 }
 
-/// Lifecycle lane of one pool child.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Lane {
+/// Where a pool child stands in its lifecycle (the `state` of its
+/// [`ChildStatus`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChildState {
     /// Drawn, mixed, credited.
     Serving,
     /// Not drawn at all; sits out `remaining` pool fills.
@@ -143,62 +128,32 @@ enum Lane {
         /// Pool fills left before probation starts.
         remaining: u32,
     },
-    /// Drawn and mixed at zero credit under a fresh monitor.
+    /// Drawn and mixed at zero credit through a restarted lane.
     Probation {
-        /// Clean windows completed so far.
-        clean_windows: u32,
-        /// Draws into the current window.
-        window_draws: u32,
+        /// Consecutive clean draws so far.
+        clean_draws: u32,
     },
 }
 
-impl Lane {
-    fn name(&self) -> &'static str {
+impl ChildState {
+    fn name(self) -> &'static str {
         match self {
-            Lane::Serving => "serving",
-            Lane::Quarantined { .. } => "quarantined",
-            Lane::Probation { .. } => "probation",
+            ChildState::Serving => "serving",
+            ChildState::Quarantined { .. } => "quarantined",
+            ChildState::Probation { .. } => "probation",
         }
     }
 }
 
-/// One child and its private health machinery.
+/// One child: its lane and its place in the lifecycle.
 struct PoolChild {
-    source: Box<dyn EntropySource>,
+    lane: SourceLane,
     label: String,
     claim: f64,
-    lane: Lane,
-    monitor: HealthMonitor,
-    audit: Option<EntropyAudit>,
-    draws_since_sweep: u32,
+    state: ChildState,
     quarantines: u64,
     reinstatements: u64,
     scratch: Vec<u8>,
-}
-
-impl PoolChild {
-    /// A fresh monitor (and audit lane) calibrated from this child's own claim.
-    fn fresh_monitors(
-        index: usize,
-        label: &str,
-        claim: f64,
-        options: &PoolOptions,
-        thermal_capable: bool,
-    ) -> Result<(HealthMonitor, Option<EntropyAudit>)> {
-        let ledger = EntropyLedger::source(label, claim)?;
-        let mut health = options.health.clone();
-        if !thermal_capable {
-            // Children without σ²_N sweeps simply run without a thermal lane.
-            health.thermal = None;
-        }
-        let monitor = HealthMonitor::new(&health, &ledger)?;
-        let audit = options
-            .audit
-            .as_ref()
-            .map(|config| EntropyAudit::new(&format!("pool-child-{index}"), claim, config.clone()))
-            .transpose()?;
-        Ok((monitor, audit))
-    }
 }
 
 /// The multi-source pool (see the [module docs](self)).
@@ -206,6 +161,8 @@ pub struct PoolSource {
     children: Vec<PoolChild>,
     options: PoolOptions,
     events: Vec<SourceEvent>,
+    /// Audit windows the children's lanes completed, by child index.
+    audits: Vec<(usize, AuditRecord)>,
     /// Spawn-time claim over **all** children (what the engine's static ledger
     /// and cutoff calibration see).
     static_claim: f64,
@@ -236,21 +193,30 @@ impl PoolSource {
         for (index, source) in sources.into_iter().enumerate() {
             let label = source.label();
             let claim = source.entropy_per_bit();
-            let (monitor, audit) = PoolChild::fresh_monitors(
-                index,
-                &label,
-                claim,
-                &options,
-                source.supports_thermal_sweep(),
-            )?;
+            let mut health = options.health.clone();
+            if !source.supports_thermal_sweep() {
+                // Children without σ²_N sweeps simply run without a thermal test.
+                health.thermal = None;
+            }
+            let monitor = HealthMonitor::new(&health, &EntropyLedger::source(&label, claim)?)?;
+            let audit = options
+                .audit
+                .as_ref()
+                .map(|config| {
+                    EntropyAudit::new(&format!("pool-child-{index}"), claim, config.clone())
+                })
+                .transpose()?;
             children.push(PoolChild {
-                source,
+                lane: SourceLane::new(
+                    source,
+                    monitor,
+                    audit,
+                    DEFAULT_SWEEP_CADENCE,
+                    options.stall_ms.map(Duration::from_millis),
+                ),
                 label,
                 claim,
-                lane: Lane::Serving,
-                monitor,
-                audit,
-                draws_since_sweep: 0,
+                state: ChildState::Serving,
                 quarantines: 0,
                 reinstatements: 0,
                 scratch: Vec::new(),
@@ -269,6 +235,7 @@ impl PoolSource {
             children,
             options,
             events: Vec::new(),
+            audits: Vec::new(),
             static_claim,
             current_claim: static_claim,
             label,
@@ -333,11 +300,18 @@ impl PoolSource {
         &self.options
     }
 
-    /// Quarantines `child` now: it stops being drawn, its credit leaves the mix,
-    /// and a [`AlarmKind::SourceQuarantined`] event is queued.
-    fn quarantine(&mut self, child: usize, reason: String) {
+    /// Quarantines `child` for `trip`: it stops being drawn, its credit leaves the
+    /// mix, and a [`AlarmKind::SourceQuarantined`] event is queued.
+    fn quarantine(&mut self, child: usize, trip: Trip) {
+        let reason = match trip {
+            Trip::Health(_) | Trip::Overclaim(_) => trip.to_string(),
+            _ => format!("child {trip}"),
+        };
+        if let Trip::Overclaim(record) = trip {
+            self.audits.push((child, *record));
+        }
         let entry = &mut self.children[child];
-        entry.lane = Lane::Quarantined {
+        entry.state = ChildState::Quarantined {
             remaining: self.options.quarantine_draws,
         };
         entry.quarantines += 1;
@@ -349,200 +323,41 @@ impl PoolSource {
         });
     }
 
-    /// Reinstates `child` at full credit after a clean probation.
-    fn reinstate(&mut self, child: usize) {
-        let options_windows = self.options.probation_windows;
-        let options_draws = self.options.probation_window_draws;
+    /// Books one clean probation draw; reinstates the child at full credit once
+    /// it has [`PoolOptions::probation_draws`] of them.
+    fn advance_probation(&mut self, child: usize, clean_draws: u32) {
+        let required = self.options.probation_draws;
         let entry = &mut self.children[child];
-        entry.lane = Lane::Serving;
+        if clean_draws + 1 < required {
+            entry.state = ChildState::Probation {
+                clean_draws: clean_draws + 1,
+            };
+            return;
+        }
+        entry.state = ChildState::Serving;
         entry.reinstatements += 1;
         self.events.push(SourceEvent {
             child,
             label: entry.label.clone(),
             kind: AlarmKind::SourceReinstated,
-            reason: format!(
-                "clean probation: {options_windows} windows × {options_draws} draws \
-                 with healthy tests"
-            ),
+            reason: format!("clean probation: {required} draws with healthy tests"),
         });
     }
 
-    /// Advances quarantine cooldowns; children whose cooldown expires enter
-    /// probation under a fresh monitor and audit lane.
-    fn tick_quarantines(&mut self) -> Result<()> {
-        for index in 0..self.children.len() {
-            let Lane::Quarantined { remaining } = self.children[index].lane else {
-                continue;
-            };
-            if remaining > 1 {
-                self.children[index].lane = Lane::Quarantined {
-                    remaining: remaining - 1,
+    /// Advances quarantine cooldowns; a child whose cooldown expires enters
+    /// probation through a restarted lane.
+    fn tick_quarantines(&mut self) {
+        for entry in &mut self.children {
+            if let ChildState::Quarantined { remaining } = entry.state {
+                entry.state = if remaining > 1 {
+                    ChildState::Quarantined {
+                        remaining: remaining - 1,
+                    }
+                } else {
+                    entry.lane.restart();
+                    ChildState::Probation { clean_draws: 0 }
                 };
-                continue;
             }
-            let entry = &mut self.children[index];
-            let (monitor, audit) = PoolChild::fresh_monitors(
-                index,
-                &entry.label,
-                entry.claim,
-                &self.options,
-                entry.source.supports_thermal_sweep(),
-            )?;
-            entry.monitor = monitor;
-            entry.audit = audit;
-            entry.draws_since_sweep = 0;
-            entry.lane = Lane::Probation {
-                clean_windows: 0,
-                window_draws: 0,
-            };
-        }
-        Ok(())
-    }
-
-    /// Draws one child into its scratch and runs its health lanes; returns
-    /// `Ok(true)` when the child's bits may be mixed, `Ok(false)` when the child
-    /// was quarantined this draw.
-    fn draw_child(&mut self, index: usize, bits: usize) -> Result<bool> {
-        let stall_budget = self.options.stall_ms.map(Duration::from_millis);
-        let thermal_check_draws = self.options.thermal_check_draws;
-
-        let entry = &mut self.children[index];
-        entry.scratch.resize(bits, 0);
-        let started = Instant::now();
-        let mut scratch = std::mem::take(&mut entry.scratch);
-        let fill = entry.source.fill_bits(&mut scratch);
-        let elapsed = started.elapsed();
-        entry.scratch = scratch;
-        if let Err(error) = fill {
-            self.quarantine(index, format!("child fill failed: {error}"));
-            return Ok(false);
-        }
-        if let Some(budget) = stall_budget {
-            if elapsed > budget {
-                self.quarantine(
-                    index,
-                    format!(
-                        "child stalled: fill took {} ms (budget {} ms)",
-                        elapsed.as_millis(),
-                        budget.as_millis()
-                    ),
-                );
-                return Ok(false);
-            }
-        }
-
-        // SP 800-90B continuous lanes on the child's raw bits, before mixing.
-        let entry = &mut self.children[index];
-        let scratch = std::mem::take(&mut entry.scratch);
-        let observed = entry
-            .monitor
-            .observe_bits(&scratch)
-            .map(|state| match state {
-                HealthState::Alarmed(reason) => Some(reason.to_string()),
-                _ => None,
-            });
-        entry.scratch = scratch;
-        match observed {
-            Err(error) => {
-                self.quarantine(index, format!("child emitted non-bits: {error}"));
-                return Ok(false);
-            }
-            Ok(Some(reason)) => {
-                self.quarantine(index, reason);
-                return Ok(false);
-            }
-            Ok(None) => {}
-        }
-
-        // Thermal lane, when both the template and the child support it.
-        let entry = &mut self.children[index];
-        entry.draws_since_sweep += 1;
-        if entry.monitor.has_thermal()
-            && entry.source.supports_thermal_sweep()
-            && entry.draws_since_sweep >= thermal_check_draws
-        {
-            entry.draws_since_sweep = 0;
-            match entry.source.sigma2_sweep(&THERMAL_SWEEP_DEPTHS) {
-                Err(error) => {
-                    self.quarantine(index, format!("child thermal sweep failed: {error}"));
-                    return Ok(false);
-                }
-                Ok(Some(values)) => {
-                    let depths: Vec<f64> = THERMAL_SWEEP_DEPTHS.iter().map(|&d| d as f64).collect();
-                    let fitted =
-                        entry
-                            .monitor
-                            .observe_sigma2_points(&depths, &values)
-                            .map(|state| match state {
-                                HealthState::Alarmed(reason) => Some(reason.to_string()),
-                                _ => None,
-                            });
-                    match fitted {
-                        Err(error) => {
-                            self.quarantine(index, format!("child thermal fit failed: {error}"));
-                            return Ok(false);
-                        }
-                        Ok(Some(reason)) => {
-                            self.quarantine(index, reason);
-                            return Ok(false);
-                        }
-                        Ok(None) => {}
-                    }
-                }
-                Ok(None) => {}
-            }
-        }
-
-        // Per-child audit battery: the silent-overclaim tripwire.
-        let entry = &mut self.children[index];
-        if let Some(audit) = &mut entry.audit {
-            let scratch = std::mem::take(&mut entry.scratch);
-            let outcome = audit.observe_bits(&scratch);
-            entry.scratch = scratch;
-            match outcome {
-                Err(error) => {
-                    self.quarantine(index, format!("child audit failed: {error}"));
-                    return Ok(false);
-                }
-                Ok(Some(_)) => {
-                    let entry = &self.children[index];
-                    if let Some(audit) = &entry.audit {
-                        if audit.overclaimed() {
-                            let reason = audit.alarm_reason();
-                            self.quarantine(index, reason);
-                            return Ok(false);
-                        }
-                    }
-                }
-                Ok(None) => {}
-            }
-        }
-        Ok(true)
-    }
-
-    /// Books one clean probation draw; reinstates the child when it completes
-    /// its final clean window.
-    fn advance_probation(&mut self, index: usize) {
-        let Lane::Probation {
-            clean_windows,
-            window_draws,
-        } = self.children[index].lane
-        else {
-            return;
-        };
-        let mut window_draws = window_draws + 1;
-        let mut clean_windows = clean_windows;
-        if window_draws >= self.options.probation_window_draws {
-            window_draws = 0;
-            clean_windows += 1;
-        }
-        if clean_windows >= self.options.probation_windows {
-            self.reinstate(index);
-        } else {
-            self.children[index].lane = Lane::Probation {
-                clean_windows,
-                window_draws,
-            };
         }
     }
 }
@@ -569,7 +384,7 @@ impl EntropySource for PoolSource {
         // Children are drawn in lockstep; the slowest gates the pool.
         self.children
             .iter()
-            .map(|c| c.source.nominal_bit_rate())
+            .map(|c| c.lane.source.nominal_bit_rate())
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -582,12 +397,8 @@ impl EntropySource for PoolSource {
     }
 
     fn fill_bits(&mut self, out: &mut [u8]) -> Result<()> {
-        self.tick_quarantines()?;
-        if !self
-            .children
-            .iter()
-            .any(|c| matches!(c.lane, Lane::Serving))
-        {
+        self.tick_quarantines();
+        if !self.children.iter().any(|c| c.state == ChildState::Serving) {
             self.current_claim = 0.0;
             return Err(EngineError::SourceFault {
                 reason: format!(
@@ -599,25 +410,26 @@ impl EntropySource for PoolSource {
 
         out.fill(0);
         let mut credited: Vec<usize> = Vec::new();
-        let mut mixed_any = false;
         for index in 0..self.children.len() {
-            let lane = self.children[index].lane.clone();
-            match lane {
-                Lane::Quarantined { .. } => continue,
-                Lane::Serving | Lane::Probation { .. } => {
-                    if !self.draw_child(index, out.len())? {
-                        continue;
-                    }
-                    for (bit, extra) in out.iter_mut().zip(&self.children[index].scratch) {
-                        *bit ^= extra;
-                    }
-                    mixed_any = true;
-                    match lane {
-                        Lane::Serving => credited.push(index),
-                        Lane::Probation { .. } => self.advance_probation(index),
-                        Lane::Quarantined { .. } => unreachable!(),
-                    }
+            let entry = &mut self.children[index];
+            let state = entry.state;
+            if let ChildState::Quarantined { .. } = state {
+                continue;
+            }
+            entry.scratch.resize(out.len(), 0);
+            match entry.lane.draw(&mut entry.scratch) {
+                Ok(record) => self.audits.extend(record.map(|record| (index, record))),
+                Err(trip) => {
+                    self.quarantine(index, trip);
+                    continue;
                 }
+            }
+            for (bit, extra) in out.iter_mut().zip(&self.children[index].scratch) {
+                *bit ^= extra;
+            }
+            match state {
+                ChildState::Probation { clean_draws } => self.advance_probation(index, clean_draws),
+                _ => credited.push(index),
             }
         }
 
@@ -626,7 +438,7 @@ impl EntropySource for PoolSource {
                 .iter()
                 .map(|&i| (self.children[i].label.as_str(), self.children[i].claim)),
         )?;
-        if credited.is_empty() || !mixed_any {
+        if credited.is_empty() {
             return Err(EngineError::SourceFault {
                 reason: format!(
                     "every serving child of {} was quarantined within one batch",
@@ -641,6 +453,10 @@ impl EntropySource for PoolSource {
         std::mem::take(&mut self.events)
     }
 
+    fn poll_audits(&mut self) -> Vec<(usize, AuditRecord)> {
+        std::mem::take(&mut self.audits)
+    }
+
     fn children_status(&self) -> Vec<ChildStatus> {
         self.children
             .iter()
@@ -648,9 +464,9 @@ impl EntropySource for PoolSource {
             .map(|(child, entry)| ChildStatus {
                 child,
                 label: entry.label.clone(),
-                state: entry.lane.name().to_string(),
+                state: entry.state.name().to_string(),
                 entropy_per_bit: entry.claim,
-                credited_entropy_per_bit: if entry.lane == Lane::Serving {
+                credited_entropy_per_bit: if entry.state == ChildState::Serving {
                     entry.claim
                 } else {
                     0.0
@@ -666,6 +482,9 @@ impl EntropySource for PoolSource {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use ptrng_osc::phase::PhaseNoiseModel;
+    use ptrng_trng::online::OnlineTestConfig;
+    use std::time::Instant;
 
     fn model_specs(n: usize) -> Vec<SourceSpec> {
         (0..n).map(|_| SourceSpec::model(0.5).unwrap()).collect()
@@ -675,9 +494,8 @@ mod tests {
     /// short cooldown/probation.
     fn fast_options() -> PoolOptions {
         PoolOptions {
-            probation_windows: 2,
             quarantine_draws: 2,
-            probation_window_draws: 2,
+            probation_draws: 4,
             stall_ms: None,
             ..PoolOptions::default()
         }
@@ -692,19 +510,11 @@ mod tests {
         assert!(PoolOptions::default().validate().is_ok());
         for bad in [
             PoolOptions {
-                probation_windows: 0,
-                ..PoolOptions::default()
-            },
-            PoolOptions {
                 quarantine_draws: 0,
                 ..PoolOptions::default()
             },
             PoolOptions {
-                probation_window_draws: 0,
-                ..PoolOptions::default()
-            },
-            PoolOptions {
-                thermal_check_draws: 0,
+                probation_draws: 0,
                 ..PoolOptions::default()
             },
             PoolOptions {
@@ -823,7 +633,7 @@ mod tests {
         // Credit drops monotonically when a child leaves the mix.
         assert!(pool.current_entropy_per_bit() <= full_claim + 1e-12);
 
-        // Keep drawing: cooldown (2 fills) → probation (2×2 clean draws) →
+        // Keep drawing: cooldown (2 fills) → probation (4 clean draws) →
         // reinstatement.  The fault window has long passed by then.
         let mut reinstated = false;
         for _ in 0..16 {
@@ -1000,5 +810,43 @@ mod tests {
         let status = pool.children_status();
         assert!(status[1].quarantines >= 2, "no relapse: {:?}", status[1]);
         assert_eq!(status[1].reinstatements, 0);
+    }
+
+    #[test]
+    fn thermal_lane_quarantines_a_collapsed_child() {
+        // Two `ero:2:strong` rings whose template carries the σ²_N test, drawn for
+        // 2N + 1 small batches: each child sweeps on draws 1, N + 1 and 2N + 1.
+        let sampled = PhaseNoiseModel::new(1.2e6, 0.0, 103.0e6).unwrap();
+        let sampling = PhaseNoiseModel::new(1.2e6, 0.0, 102.3e6).unwrap();
+        let relative = sampled.relative_to(&sampling).unwrap();
+        let rings = vec![SourceSpec::parse("ero:2:strong").unwrap(); 2];
+        let run = |reference: f64| {
+            let thermal = OnlineTestConfig::new(relative.frequency(), reference, 0.5).unwrap();
+            let options = PoolOptions {
+                health: fast_options().health.with_thermal(thermal),
+                ..fast_options()
+            };
+            let mut pool = PoolSource::from_specs(&rings, options, 11).unwrap();
+            let mut bits = vec![0u8; 256];
+            for _ in 0..2 * DEFAULT_SWEEP_CADENCE + 1 {
+                if pool.fill_bits(&mut bits).is_err() {
+                    break;
+                }
+            }
+            (pool.poll_events(), pool.children_status())
+        };
+
+        // The rings' own thermal jitter as the reference: every sweep passes.
+        let (events, status) = run(relative.thermal_period_jitter());
+        assert!(events.is_empty(), "{events:?}");
+        assert!(status.iter().all(|s| s.state == "serving"), "{status:?}");
+
+        // Ten times that reference: the second sweep latches the alarm.
+        let (events, _) = run(relative.thermal_period_jitter() * 10.0);
+        assert!(
+            events.iter().any(|e| e.kind == AlarmKind::SourceQuarantined
+                && e.reason.contains("thermal jitter collapsed")),
+            "{events:?}"
+        );
     }
 }

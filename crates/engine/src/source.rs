@@ -2,14 +2,13 @@
 //!
 //! Every shard of the pool owns one [`EntropySource`] built from a shared
 //! [`SourceSpec`] and a per-shard seed.  Besides the paper's plain eRO-TRNG, a
-//! divided-sampler sweep over accumulation depths spanning the `r_N = K/(K+N)`
-//! transition exercises the regimes the paper analyses, and a calibrated
-//! stochastic-model source trades physical fidelity for raw speed (per-shard entropy
-//! accounting in the spirit of Saarinen's bit-pattern analysis: the claimed
-//! min-entropy per bit is derived from the model, not assumed to be 1).  Every XOR of
-//! sources — the `xor:K` multi-ring combiner included, which parses to a pool of K
-//! identical rings — runs through [`crate::pooled::PoolSource`], so each ring keeps its
-//! own health lanes and can be quarantined alone.
+//! calibrated stochastic-model source trades physical fidelity for raw speed
+//! (per-shard entropy accounting in the spirit of Saarinen's bit-pattern analysis:
+//! the claimed min-entropy per bit is derived from the model, not assumed to be
+//! 1).  Every XOR of sources — the `xor:K` multi-ring combiner included, which
+//! parses to a pool of K identical rings — runs through
+//! [`crate::pooled::PoolSource`], so each ring keeps its own health lanes and can
+//! be quarantined alone.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +21,7 @@ use ptrng_stats::sn::{sigma2_n_sweep, SnSampling};
 use ptrng_trng::ero::{EroSampler, EroTrng, EroTrngConfig};
 use ptrng_trng::stochastic::EntropyModel;
 
+use crate::audit::AuditRecord;
 use crate::metrics::AlarmKind;
 use crate::pooled::PoolOptions;
 use crate::{EngineError, Result};
@@ -111,6 +111,13 @@ pub trait EntropySource: Send {
         Vec::new()
     }
 
+    /// Drains the audit windows a composite source's child lanes completed since
+    /// the last poll, each with its child index (a pool's `pool-child-K` lanes).
+    /// Simple sources have none.
+    fn poll_audits(&mut self) -> Vec<(usize, AuditRecord)> {
+        Vec::new()
+    }
+
     /// The min-entropy per raw bit the source credits **right now** — for a pool
     /// this shrinks when children are quarantined and recovers on reinstatement;
     /// simple sources report their static [`EntropySource::entropy_per_bit`].
@@ -124,7 +131,8 @@ pub trait EntropySource: Send {
     }
 }
 
-/// Accumulation depths the pool sweeps when a thermal online test is configured.
+/// Accumulation depths a shard's or pool child's raw-bit lane sweeps when its
+/// monitor has a thermal online test.
 pub const THERMAL_SWEEP_DEPTHS: [usize; 5] = [256, 512, 1024, 2048, 4096];
 
 /// Periods of relative jitter simulated per thermal sweep (must comfortably exceed the
@@ -177,14 +185,6 @@ pub enum SourceSpec {
         /// Jitter profile of the ring pair.
         profile: JitterProfile,
     },
-    /// A divided-sampler sweep: consecutive batches rotate through the division
-    /// factors, spanning the paper's `r_N = K/(K+N)` thermal-to-flicker transition.
-    DividedSampler {
-        /// Division factors visited in round-robin order.
-        divisions: Vec<u32>,
-        /// Jitter profile of the ring pair.
-        profile: JitterProfile,
-    },
     /// Calibrated stochastic-model source: i.i.d. bits with the given probability of
     /// one.  No physical simulation — the fast path for scale and failure-injection
     /// testing.
@@ -209,7 +209,6 @@ impl SourceSpec {
     /// * `ero[:DIVISION[:PROFILE]]` (default division 16, profile `strong`),
     /// * `xor:RINGS[:DIVISION[:PROFILE]]` (default division 8) — shorthand for a
     ///   pool of `RINGS ≥ 2` identical `ero:DIVISION:PROFILE` children,
-    /// * `div:D1,D2,...[:PROFILE]` — divided-sampler sweep,
     /// * `model[:P_ONE]` (default 0.5),
     /// * `pool:CHILD+CHILD[+CHILD...]` — a multi-source pool whose children are
     ///   any of the above except `xor:` (pools do not nest), separated by `+`
@@ -287,23 +286,6 @@ impl SourceSpec {
                 }
                 Self::pool(vec![ring; rings], PoolOptions::default())
             }
-            "div" => {
-                let list = rest
-                    .first()
-                    .ok_or_else(|| err("div needs a division list, e.g. `div:4,16,64`"))?;
-                let divisions = list
-                    .split(',')
-                    .map(|d| {
-                        d.parse::<u32>()
-                            .map_err(|_| err("divisions must be integers"))
-                    })
-                    .collect::<Result<Vec<u32>>>()?;
-                let profile = match rest.get(1) {
-                    Some(p) => parse_profile(p)?,
-                    None => JitterProfile::Strong,
-                };
-                Self::divided_sampler(divisions, profile)
-            }
             "model" => {
                 let p_one = match rest.first() {
                     Some(p) => p.parse::<f64>().map_err(|_| err("p_one must be a float"))?,
@@ -315,7 +297,7 @@ impl SourceSpec {
                 "pool needs a `+`-separated child list, e.g. `pool:ero:16+model:0.5`",
             )),
             other => Err(err(&format!(
-                "unknown source kind `{other}` (expected ero, xor, div, model or pool)"
+                "unknown source kind `{other}` (expected ero, xor, model or pool)"
             ))),
         }
     }
@@ -326,26 +308,13 @@ impl SourceSpec {
     ///
     /// Returns an error when `division == 0`.
     pub fn ero(division: u32, profile: JitterProfile) -> Result<Self> {
-        check_division(division)?;
-        Ok(SourceSpec::Ero { division, profile })
-    }
-
-    /// A validated [`SourceSpec::DividedSampler`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the division list is empty or contains zero.
-    pub fn divided_sampler(divisions: Vec<u32>, profile: JitterProfile) -> Result<Self> {
-        if divisions.is_empty() {
+        if division == 0 {
             return Err(EngineError::InvalidParameter {
-                name: "divisions",
-                reason: "at least one division factor is required".to_string(),
+                name: "division",
+                reason: "the division factor must be at least 1".to_string(),
             });
         }
-        for &d in &divisions {
-            check_division(d)?;
-        }
-        Ok(SourceSpec::DividedSampler { divisions, profile })
+        Ok(SourceSpec::Ero { division, profile })
     }
 
     /// A validated [`SourceSpec::Model`].
@@ -402,25 +371,12 @@ impl SourceSpec {
             SourceSpec::Ero { division, profile } => {
                 Ok(Box::new(EroSource::new(*division, *profile, seed)?))
             }
-            SourceSpec::DividedSampler { divisions, profile } => Ok(Box::new(
-                DividedSamplerSource::new(divisions.clone(), *profile, seed)?,
-            )),
             SourceSpec::Model { p_one } => Ok(Box::new(ModelSource::new(*p_one, seed)?)),
             SourceSpec::Pool { children, options } => Ok(Box::new(
                 crate::pooled::PoolSource::from_specs(children, options.clone(), seed)?,
             )),
         }
     }
-}
-
-fn check_division(division: u32) -> Result<()> {
-    if division == 0 {
-        return Err(EngineError::InvalidParameter {
-            name: "division",
-            reason: "the division factor must be at least 1".to_string(),
-        });
-    }
-    Ok(())
 }
 
 /// Entropy claim of one eRO-TRNG configuration, from the flicker-aware stochastic model.
@@ -518,91 +474,6 @@ impl EntropySource for EroSource {
     }
 }
 
-/// Divided-sampler sweep: successive batches rotate through a list of division factors.
-///
-/// With depth `N` per bit, the paper's autocorrelation ratio is `r_N = K/(K+N)`; a
-/// sweep across decades of `N` therefore exercises the generator on both sides of the
-/// thermal-dominated (`N ≪ K`) and flicker-dominated (`N ≫ K`) regimes within one
-/// stream.
-pub struct DividedSamplerSource {
-    stages: Vec<EroSource>,
-    next_stage: usize,
-    entropy_claim: f64,
-}
-
-impl DividedSamplerSource {
-    /// Creates the source; every stage gets its own derived seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty division list or invalid configuration.
-    pub fn new(divisions: Vec<u32>, profile: JitterProfile, seed: u64) -> Result<Self> {
-        if divisions.is_empty() {
-            return Err(EngineError::InvalidParameter {
-                name: "divisions",
-                reason: "at least one division factor is required".to_string(),
-            });
-        }
-        let stages = divisions
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| EroSource::new(d, profile, derive_seed(seed, 0x6469_7600 + k as u64)))
-            .collect::<Result<Vec<_>>>()?;
-        // The stream is only as strong as its weakest stage.
-        let entropy_claim = stages
-            .iter()
-            .map(EroSource::entropy_per_bit)
-            .fold(1.0f64, f64::min);
-        Ok(Self {
-            stages,
-            next_stage: 0,
-            entropy_claim,
-        })
-    }
-
-    /// The division factor the next batch will use.
-    pub fn next_division(&self) -> u32 {
-        self.stages[self.next_stage].division
-    }
-}
-
-impl EntropySource for DividedSamplerSource {
-    fn label(&self) -> String {
-        let divisions: Vec<String> = self.stages.iter().map(|s| s.division.to_string()).collect();
-        format!(
-            "divided-sampler(divisions=[{}], profile={})",
-            divisions.join(","),
-            self.stages[0].profile.name()
-        )
-    }
-
-    fn nominal_bit_rate(&self) -> f64 {
-        // Harmonic mean over the sweep: total periods per emitted bit averaged.
-        let inverse_sum: f64 = self.stages.iter().map(|s| 1.0 / s.nominal_bit_rate()).sum();
-        self.stages.len() as f64 / inverse_sum
-    }
-
-    fn entropy_per_bit(&self) -> f64 {
-        self.entropy_claim
-    }
-
-    fn fill_bits(&mut self, out: &mut [u8]) -> Result<()> {
-        let stage = self.next_stage;
-        self.next_stage = (self.next_stage + 1) % self.stages.len();
-        self.stages[stage].fill_bits(out)
-    }
-
-    fn supports_thermal_sweep(&self) -> bool {
-        true
-    }
-
-    /// Every stage samples the same ring pair, so any stage's relative-jitter sweep is
-    /// representative; use the first.
-    fn sigma2_sweep(&mut self, depths: &[usize]) -> Result<Option<Vec<f64>>> {
-        self.stages[0].sigma2_sweep(depths)
-    }
-}
-
 /// Calibrated stochastic-model source: i.i.d. Bernoulli bits, no physical simulation.
 pub struct ModelSource {
     p_one: f64,
@@ -694,13 +565,6 @@ mod tests {
             }
         );
         assert_eq!(
-            SourceSpec::parse("div:4,16,64").unwrap(),
-            SourceSpec::DividedSampler {
-                divisions: vec![4, 16, 64],
-                profile: JitterProfile::Strong
-            }
-        );
-        assert_eq!(
             SourceSpec::parse("model:0.52").unwrap(),
             SourceSpec::Model { p_one: 0.52 }
         );
@@ -763,7 +627,6 @@ mod tests {
         assert!(SourceSpec::parse("ero:16:weak").is_err());
         assert!(SourceSpec::parse("xor").is_err());
         assert!(SourceSpec::parse("xor:0").is_err());
-        assert!(SourceSpec::parse("div:").is_err());
         assert!(SourceSpec::parse("model:1.5").is_err());
         // Pools need at least two well-formed children and do not nest.
         assert!(SourceSpec::parse("pool").is_err());
@@ -868,17 +731,6 @@ mod tests {
             src.label(),
             format!("pool({} ⊕ {})", single.label(), single.label())
         );
-    }
-
-    #[test]
-    fn divided_sampler_rotates_stages() {
-        let mut src = DividedSamplerSource::new(vec![2, 8], JitterProfile::Strong, 7).unwrap();
-        assert_eq!(src.next_division(), 2);
-        let mut bits = vec![0u8; 64];
-        src.fill_bits(&mut bits).unwrap();
-        assert_eq!(src.next_division(), 8);
-        src.fill_bits(&mut bits).unwrap();
-        assert_eq!(src.next_division(), 2);
     }
 
     #[test]

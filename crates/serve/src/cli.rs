@@ -40,7 +40,7 @@ USAGE:
 OPTIONS:
     --shards N          worker shards, one source each            [default: 4]
     --source SPEC       ero[:DIV[:PROFILE]] | xor:K[:DIV[:PROFILE]] |
-                        div:D1,D2,...[:PROFILE] | model[:P_ONE] |
+                        model[:P_ONE] |
                         pool:CHILD+CHILD+... (mix ≥2 child specs) [default: ero:16]
                         PROFILE = strong | date14; xor:K (K ≥ 2, DIV default 8)
                         is the pool of K ero:DIV:PROFILE rings

@@ -102,8 +102,7 @@ fn starved_source_yields_a_deficit_not_unaccounted_output() {
             children,
             options: PoolOptions {
                 quarantine_draws: 2,
-                probation_windows: 2,
-                probation_window_draws: 2,
+                probation_draws: 4,
                 stall_ms: None,
                 ..PoolOptions::default()
             },

@@ -108,26 +108,6 @@ fn simulated_ero_shards_survive_health_monitoring() {
     );
 }
 
-/// The divided-sampler sweep exercises several accumulation depths in one stream and
-/// still produces plausible bytes.
-#[test]
-fn divided_sampler_sweep_streams() {
-    let spec = SourceSpec::divided_sampler(vec![4, 8, 16], JitterProfile::Strong).unwrap();
-    let config = EngineConfig::new(spec)
-        .seed(3)
-        .batch_bits(4096)
-        .budget_bytes(Some(2048))
-        .health(HealthConfig::default().without_startup_battery());
-    let mut engine = Engine::spawn(config).unwrap();
-    let bytes = engine.read_to_end().unwrap();
-    engine.join().unwrap();
-    assert_eq!(bytes.len(), 2048);
-    let bits = unpack_bits(&bytes);
-    let ones: usize = bits.iter().map(|&b| b as usize).sum();
-    let p = ones as f64 / bits.len() as f64;
-    assert!((p - 0.5).abs() < 0.06, "p(1) = {p}");
-}
-
 /// The acceptance scenario for the conditioning pipeline: the physically-simulated
 /// eRO-TRNG streamed through the SHA-256 vetted conditioner under a strict emission
 /// policy (`--min-h 0.997`) produces zero alarms, full-entropy accounting and
@@ -297,8 +277,7 @@ fn fast_pool_spec(text: &str) -> SourceSpec {
             children,
             options: PoolOptions {
                 quarantine_draws: 2,
-                probation_windows: 2,
-                probation_window_draws: 2,
+                probation_draws: 4,
                 stall_ms: None,
                 ..PoolOptions::default()
             },
@@ -524,6 +503,41 @@ fn audit_every_lane_publishes_both_lanes_for_every_shard() {
             .any(|(name, histogram)| name == "compression" && histogram.count() > 0),
         "no per-estimator timings recorded"
     );
+}
+
+/// `--audit-every-lane` on a pool: every child's `pool-child-K` lane records its
+/// windows through the shard's one audit hookup, under `shardN/pool-child-K`, so
+/// the children's windows reach the metrics and the battery histogram.
+#[test]
+fn audit_every_lane_publishes_every_pool_child_lane() {
+    let audit = AuditConfig::default().window_bits(1 << 15).margin(0.4);
+    let config = EngineConfig::new(SourceSpec::parse("pool:model+model").unwrap())
+        .seed(1)
+        .audit(Some(audit))
+        .audit_every_lane(true)
+        .budget_bytes(Some(16 * 1024))
+        .health(HealthConfig::default().without_startup_battery());
+    let mut engine = Engine::spawn(config).unwrap();
+    let bytes = engine
+        .read_to_end()
+        .expect("an honest claim must not alarm");
+    let snap = engine.metrics().snapshot();
+    let obs = std::sync::Arc::clone(engine.observatory());
+    engine.join().unwrap();
+
+    assert_eq!(bytes.len(), 16 * 1024);
+    for lane in ["shard0/raw", "shard0/pool-child-0", "shard0/pool-child-1"] {
+        let audit = snap
+            .audits
+            .iter()
+            .find(|a| a.lane == lane)
+            .unwrap_or_else(|| panic!("lane {lane} missing: {:?}", snap.audits));
+        assert!(audit.windows >= 1, "lane {lane} completed no window");
+        assert_eq!(audit.overclaims, 0, "lane {lane} overclaimed: {audit:?}");
+    }
+    // One battery sample per completed window, children included.
+    let windows: u64 = snap.audits.iter().map(|a| a.windows).sum();
+    assert_eq!(obs.audit_histogram().count(), windows, "{:?}", snap.audits);
 }
 
 /// `--audit-every-lane` closes the blind spot the default coverage leaves: an

@@ -701,8 +701,7 @@ fn pool_quarantine_drill_degrades_and_recovers_over_http() {
             children,
             options: PoolOptions {
                 quarantine_draws: 2,
-                probation_windows: 2,
-                probation_window_draws: 2,
+                probation_draws: 4,
                 stall_ms: None,
                 ..PoolOptions::default()
             },
@@ -982,8 +981,7 @@ fn random_tier_keeps_serving_through_a_quarantine_drill() {
             children,
             options: PoolOptions {
                 quarantine_draws: 2,
-                probation_windows: 2,
-                probation_window_draws: 2,
+                probation_draws: 4,
                 stall_ms: None,
                 ..PoolOptions::default()
             },
@@ -1043,8 +1041,7 @@ fn random_reseed_starvation_returns_the_canonical_ledger_refusal() {
             children,
             options: PoolOptions {
                 quarantine_draws: 2,
-                probation_windows: 2,
-                probation_window_draws: 2,
+                probation_draws: 4,
                 stall_ms: None,
                 ..PoolOptions::default()
             },

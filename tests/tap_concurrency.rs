@@ -138,8 +138,7 @@ fn concurrent_draws_survive_a_quarantine_and_reinstatement_without_loss_or_repla
             children,
             options: PoolOptions {
                 quarantine_draws: 2,
-                probation_windows: 2,
-                probation_window_draws: 2,
+                probation_draws: 4,
                 // Deterministic drills only: no wall-clock watchdog.
                 stall_ms: None,
                 ..PoolOptions::default()
