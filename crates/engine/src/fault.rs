@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::audit::AuditRecord;
-use crate::source::{ChildStatus, EntropySource, SourceEvent};
+use crate::source::{ChildStatus, EntropySource, Sigma2NPoint, SourceEvent};
 use crate::{EngineError, Result};
 
 /// Default seed of a fault's own bit generator.
@@ -345,10 +345,11 @@ impl EntropySource for FaultSource {
         self.inner.supports_thermal_sweep()
     }
 
-    fn sigma2_sweep(&mut self, depths: &[usize]) -> Result<Option<Vec<f64>>> {
-        let sweep = self.inner.sigma2_sweep(depths)?;
-        if self.active() && matches!(self.plan.kind, FaultKind::VarianceCollapse) {
-            return Ok(sweep.map(|values| values.into_iter().map(|v| v * 1e-4).collect()));
+    fn sigma2_sweep(&mut self, depths: &[usize]) -> Result<Option<Vec<Sigma2NPoint>>> {
+        let collapsed = self.active() && matches!(self.plan.kind, FaultKind::VarianceCollapse);
+        let mut sweep = self.inner.sigma2_sweep(depths)?;
+        for point in sweep.iter_mut().flatten().filter(|_| collapsed) {
+            point.sigma2_n *= 1e-4;
         }
         Ok(sweep)
     }
@@ -482,15 +483,26 @@ mod tests {
         let mut healthy = spec.build(11).unwrap();
         assert!(faulted.supports_thermal_sweep());
 
+        // The bits pass through unchanged...
+        let mut bits = vec![0u8; 4096];
+        let mut twin = vec![0u8; 4096];
+        faulted.fill_bits(&mut bits).unwrap();
+        healthy.fill_bits(&mut twin).unwrap();
+        assert_eq!(bits, twin);
+
+        // ...while the sweep of the same counts reads collapsed.
         let depths = [256usize, 512];
         let collapsed = faulted.sigma2_sweep(&depths).unwrap().unwrap();
         let reference = healthy.sigma2_sweep(&depths).unwrap().unwrap();
+        assert!(collapsed.len() >= 2, "{collapsed:?}");
+        assert_eq!(collapsed.len(), reference.len());
         for (c, r) in collapsed.iter().zip(&reference) {
-            assert!(c / r < 1e-3, "collapsed {c} vs reference {r}");
+            assert_eq!(c.n, r.n);
+            assert!(
+                c.sigma2_n / r.sigma2_n < 1e-3,
+                "collapsed {c:?} vs reference {r:?}"
+            );
         }
-        let mut bits = vec![0u8; 256];
-        faulted.fill_bits(&mut bits).unwrap();
-        assert!(bits.iter().all(|&b| b <= 1));
     }
 
     #[test]

@@ -142,16 +142,18 @@ impl SourceLane {
         }
     }
 
-    /// One `σ²_N` sweep into the thermal test.
+    /// One `σ²_N` sweep of the draw into the thermal test; a draw that resolves
+    /// fewer than two depths cannot be fitted, which trips the lane.
     fn sweep(&mut self) -> std::result::Result<(), Trip> {
-        let Some(variances) = self
+        let Some(points) = self
             .source
             .sigma2_sweep(&THERMAL_SWEEP_DEPTHS)
             .map_err(Trip::Sweep)?
         else {
             return Ok(());
         };
-        let depths = THERMAL_SWEEP_DEPTHS.map(|depth| depth as f64);
+        let (depths, variances): (Vec<f64>, Vec<f64>) =
+            points.iter().map(|p| (p.n as f64, p.sigma2_n)).unzip();
         judge(
             self.monitor
                 .observe_sigma2_points(&depths, &variances)
@@ -302,7 +304,7 @@ mod tests {
         let ring = SourceSpec::parse("ero:2:strong").unwrap().build(5).unwrap();
         let mut locked = lane(
             faulty("child=0,kind=variance-collapse", ring),
-            &raw_health().with_thermal(thermal),
+            &raw_health().with_thermal(thermal.clone()),
         );
         locked.sweep_cadence = 1;
         assert!(locked.draw(&mut bits).is_ok(), "one strike does not latch");
@@ -313,6 +315,17 @@ mod tests {
         ));
         assert!(
             trip.to_string().starts_with("thermal jitter collapsed to "),
+            "{trip}"
+        );
+
+        // 256 bits at D = 2 hold no window of the sweep's depths: nothing to fit, so
+        // the lane fails closed.
+        let ring = SourceSpec::parse("ero:2:strong").unwrap().build(5).unwrap();
+        let mut short = lane(ring, &raw_health().with_thermal(thermal));
+        let trip = short.draw(&mut bits[..256]).unwrap_err();
+        assert!(matches!(trip, Trip::Fit(_)));
+        assert!(
+            trip.to_string().starts_with("thermal fit failed: "),
             "{trip}"
         );
 

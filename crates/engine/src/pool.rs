@@ -943,14 +943,14 @@ impl ShardWorker {
                 self.record_audit(RAW_AUDIT_LANE, *record);
                 WorkerExit::Alarm(AlarmKind::AuditOverclaim, reason)
             }
-            Trip::Fill(error)
-            | Trip::NonBit(error)
-            | Trip::Sweep(error)
-            | Trip::Fit(error)
-            | Trip::Audit(error) => WorkerExit::Source(error),
-            Trip::Stall { .. } => WorkerExit::Source(EngineError::SourceFault {
-                reason: trip.to_string(),
-            }),
+            Trip::Fill(error) | Trip::NonBit(error) | Trip::Audit(error) => {
+                WorkerExit::Source(error)
+            }
+            Trip::Stall { .. } | Trip::Sweep(_) | Trip::Fit(_) => {
+                WorkerExit::Source(EngineError::SourceFault {
+                    reason: trip.to_string(),
+                })
+            }
         }
     }
 

@@ -815,7 +815,8 @@ mod tests {
     #[test]
     fn thermal_lane_quarantines_a_collapsed_child() {
         // Two `ero:2:strong` rings whose template carries the σ²_N test, drawn for
-        // 2N + 1 small batches: each child sweeps on draws 1, N + 1 and 2N + 1.
+        // 2N + 1 batches: each child sweeps on draws 1, N + 1 and 2N + 1.  A 4096-bit
+        // draw spans 8192 periods, which holds three of the sweep's depths.
         let sampled = PhaseNoiseModel::new(1.2e6, 0.0, 103.0e6).unwrap();
         let sampling = PhaseNoiseModel::new(1.2e6, 0.0, 102.3e6).unwrap();
         let relative = sampled.relative_to(&sampling).unwrap();
@@ -827,7 +828,7 @@ mod tests {
                 ..fast_options()
             };
             let mut pool = PoolSource::from_specs(&rings, options, 11).unwrap();
-            let mut bits = vec![0u8; 256];
+            let mut bits = vec![0u8; 4096];
             for _ in 0..2 * DEFAULT_SWEEP_CADENCE + 1 {
                 if pool.fill_bits(&mut bits).is_err() {
                     break;

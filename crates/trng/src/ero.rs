@@ -55,6 +55,16 @@ impl EroTrngConfig {
             duty_cycle: 0.5,
         }
     }
+
+    /// `Q = D·(f₁/f₂)·(σ₁f₁)² + D·(σ₂f₁)²`: the variance, in cycles², of the sampled
+    /// ring's phase advance per bit from the rings' thermal jitter (`σᵢ` each ring's
+    /// thermal period jitter).  The phase walk samples it; the entropy claim reads it.
+    pub fn thermal_phase_variance(&self) -> f64 {
+        let (f1, f2) = (self.sampled.frequency(), self.sampling.frequency());
+        let division = f64::from(self.division);
+        division * f1 / f2 * (self.sampled.thermal_period_jitter() * f1).powi(2)
+            + division * (self.sampling.thermal_period_jitter() * f1).powi(2)
+    }
 }
 
 /// The elementary RO-TRNG simulator.
@@ -133,12 +143,14 @@ impl EroTrng {
 ///
 /// * **Phase walk** (both oscillators thermal-only) — thermal jitter has independent
 ///   increments, so the sampled oscillator's phase at successive captures, in cycles,
-///   is a Gaussian random walk `φ_k = φ_{k−1} + D·f₁/f₂ + N(0, Q)` with
-///   `Q = D·(f₁/f₂)·(σ₁f₁)² + D·(σ₂f₁)²` (`σᵢ` each ring's thermal period jitter).
-///   The sampler keeps `frac(φ)` and draws one standard Gaussian per bit; the bit is
-///   `frac(φ_k) < duty`.  This is the phase law of Baudet's bound, which seeds the
-///   ledger; it approximates the period-by-period edge walk, from which it differs
-///   visibly only at low jitter per bit.
+///   is a Gaussian random walk `φ_k = φ_{k−1} + D·f₁/f₂ + N(0, Q)` with `Q` from
+///   [`EroTrngConfig::thermal_phase_variance`].  The sampler keeps `frac(φ)` and
+///   draws one standard Gaussian per bit; the bit is `frac(φ_k) < duty`.  This is the
+///   phase law of Baudet's bound, which seeds the ledger; it approximates the
+///   period-by-period edge walk, from which it differs visibly only at low jitter per
+///   bit.  The walk also counts the sampled ring's rising edges in each bit's D
+///   sampling periods, `⌊φ_k⌋ − ⌊φ_{k−1}⌋`: the paper's embedded counter
+///   ([`EroSampler::edge_counts`]).
 /// * **Record walk** (any flicker component) — correlated jitter has no such closed
 ///   form, so both rings' edge records are simulated period by period via
 ///   [`JitterSampler`], and a linear merge walk resolves each capture.  The records
@@ -163,10 +175,14 @@ struct PhaseWalk {
     gauss: GaussStream,
     /// `frac(D·f₁/f₂)`: the mean phase advance per bit, in cycles.
     drift: f64,
+    /// `⌊D·f₁/f₂⌋`: the whole cycles of the mean advance, which `drift` leaves out.
+    whole: f64,
     /// `√Q`: the standard deviation of the phase advance per bit, in cycles.
     sigma: f64,
     /// `frac(φ)` at the last capture; `None` until the first call draws it.
     phase: Option<f64>,
+    /// The last call's rising-edge count per bit.
+    counts: Vec<f64>,
 }
 
 /// State of the edge-record walk.
@@ -186,16 +202,15 @@ impl EroSampler {
         let config = *trng.config();
         let thermal_only = config.sampled.b_flicker() == 0.0 && config.sampling.b_flicker() == 0.0;
         let mode = if thermal_only {
-            let (f1, f2) = (config.sampled.frequency(), config.sampling.frequency());
-            let division = f64::from(config.division);
-            let mu = division * f1 / f2;
-            let q = mu * (config.sampled.thermal_period_jitter() * f1).powi(2)
-                + division * (config.sampling.thermal_period_jitter() * f1).powi(2);
+            let mu = f64::from(config.division) * config.sampled.frequency()
+                / config.sampling.frequency();
             SamplerMode::Phase(PhaseWalk {
                 gauss: GaussStream::new(),
                 drift: mu - mu.floor(),
-                sigma: q.sqrt(),
+                whole: mu.floor(),
+                sigma: config.thermal_phase_variance().sqrt(),
                 phase: None,
+                counts: Vec::new(),
             })
         } else {
             SamplerMode::Record(Box::new(RecordWalk {
@@ -213,6 +228,16 @@ impl EroSampler {
     /// The configuration of the underlying generator.
     pub fn config(&self) -> &EroTrngConfig {
         &self.config
+    }
+
+    /// The embedded counter: for each bit of the last [`EroSampler::fill_bits`] call,
+    /// the number of the sampled ring's rising edges in its D sampling periods (empty
+    /// before the first call).  `None` for the record walk, which does not count.
+    pub fn edge_counts(&self) -> Option<&[f64]> {
+        match &self.mode {
+            SamplerMode::Phase(walk) => Some(&walk.counts),
+            SamplerMode::Record(_) => None,
+        }
     }
 
     /// Fills `out` with raw bits (one `0`/`1` byte per bit).
@@ -283,9 +308,12 @@ impl PhaseWalk {
             None => uniform(rng),
         };
         let mut gauss = self.gauss;
-        for bit in out.iter_mut() {
+        self.counts.resize(out.len(), 0.0);
+        for (bit, count) in out.iter_mut().zip(&mut self.counts) {
             phase += self.drift + self.sigma * gauss.next(rng);
-            phase -= floor(phase);
+            let edges = floor(phase);
+            phase -= edges;
+            *count = self.whole + edges;
             *bit = u8::from(phase < duty);
         }
         self.gauss = gauss;
@@ -443,8 +471,8 @@ mod tests {
     fn phase_walk_matches_the_odd_harmonic_series() {
         // With φ_k = φ_{k−1} + N(m·μ, m·Q) over m bits and a duty-0.5 square wave
         // (Fourier series Σ_{k odd} 4/(πk)·sin 2πkφ), the share of equal bits at lag m
-        // is ½ + Σ_{k odd} 4/(π²k²)·e^{−2π²k²mQ}·cos(2πkmμ), μ = D·f₁/f₂ and
-        // Q = D·(f₁/f₂)·(σ₁f₁)² + D·(σ₂f₁)².
+        // is ½ + Σ_{k odd} 4/(π²k²)·e^{−2π²k²mQ}·cos(2πkmμ), μ = D·f₁/f₂ and Q the
+        // config's thermal phase variance.
         //
         // Tolerance: Y_i = [b_i = b_{i+m}] − p is a function of φ_i … φ_{i+m}, and the
         // walk contracts every non-constant function of the phase by at least
@@ -455,11 +483,8 @@ mod tests {
         let n = 1 << 21;
         for (division, seed) in [(1u32, 31u64), (2, 32), (4, 33)] {
             let config = strong_config(division);
-            let (f1, f2) = (config.sampled.frequency(), config.sampling.frequency());
-            let d = f64::from(division);
-            let mu = d * f1 / f2;
-            let q = d * (f1 / f2) * (config.sampled.thermal_period_jitter() * f1).powi(2)
-                + d * (config.sampling.thermal_period_jitter() * f1).powi(2);
+            let mu = f64::from(division) * config.sampled.frequency() / config.sampling.frequency();
+            let q = config.thermal_phase_variance();
             let rho = (-2.0 * PI * PI * q).exp();
             let bits = stream(config, seed, n);
             for m in 1..=4usize {
@@ -527,9 +552,11 @@ mod tests {
     #[test]
     fn phase_walk_equals_a_libm_floor_walk() {
         // The walk through `f64::floor`, from the same starting phase and Gaussians:
-        // every bit and the carried phase must be the same, at a small and a large
-        // phase step (the latter reaches negative sums every few bits).
+        // every bit, every edge count (the whole cycles of the mean advance plus the
+        // integer the floor strips) and the carried phase must be the same, at a small
+        // and a large phase step (the latter reaches negative sums every few bits).
         for division in [1u32, 16, 1024] {
+            let whole = (f64::from(division) * 103.0e6 / 102.3e6).floor();
             let mut sampler = EroTrng::new(strong_config(division))
                 .unwrap()
                 .sampler()
@@ -547,11 +574,15 @@ mod tests {
             let mut gauss = GaussStream::new();
             let mut phase = uniform(&mut rng);
             let mut negative_sums = 0;
-            for (k, &bit) in bits.iter().enumerate() {
+            let counts = sampler.edge_counts().unwrap();
+            assert_eq!(counts.len(), bits.len());
+            for (k, (&bit, &count)) in bits.iter().zip(counts).enumerate() {
                 phase += drift + sigma * gauss.next(&mut rng);
                 negative_sums += usize::from(phase < 0.0);
-                phase -= phase.floor();
+                let edges = phase.floor();
+                phase -= edges;
                 assert_eq!(bit, u8::from(phase < 0.5), "D = {division}, bit {k}");
+                assert_eq!(count, whole + edges, "D = {division}, count {k}");
             }
             let SamplerMode::Phase(walk) = &sampler.mode else {
                 unreachable!()

@@ -7,7 +7,7 @@
 //! when it drops — e.g. under a frequency-injection or electromagnetic attack that locks
 //! the two rings together.
 //!
-//! [`OnlineThermalTest`] implements that test on top of counter read-outs, and
+//! [`OnlineThermalTest`] implements that test on `σ²_N` sweeps, and
 //! [`total_failure_check`] wraps the SP 800-90B repetition-count test as the
 //! complementary catastrophic-failure detector.
 
@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 
 use ptrng_ais::sp80090b::repetition_count_test;
 use ptrng_ais::TestResult;
-use ptrng_stats::descriptive::sample_variance;
 use ptrng_stats::fit::sigma_n_fit;
 
 use crate::{check_positive, Result, TrngError};
@@ -105,41 +104,6 @@ impl OnlineThermalTest {
             alarm: ratio < self.config.min_ratio,
         })
     }
-
-    /// Evaluates the test directly from raw counter read-outs: for every depth, the
-    /// consecutive counter values `Q_i^N` are differenced and scaled by `1/f0` (Eq. 12)
-    /// and their sample variance becomes the `σ²_N` point.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when fewer than two depths are usable (each needs at least three
-    /// counter values).
-    pub fn evaluate_counts(
-        &self,
-        counts_per_depth: &[(usize, Vec<u64>)],
-    ) -> Result<OnlineTestOutcome> {
-        let f0 = self.config.frequency;
-        let mut depths = Vec::new();
-        let mut variances = Vec::new();
-        for (n, counts) in counts_per_depth {
-            if *n == 0 || counts.len() < 3 {
-                continue;
-            }
-            let sn: Vec<f64> = counts
-                .windows(2)
-                .map(|w| (w[1] as f64 - w[0] as f64) / f0)
-                .collect();
-            depths.push(*n as f64);
-            variances.push(sample_variance(&sn)?);
-        }
-        if depths.len() < 2 {
-            return Err(TrngError::InvalidParameter {
-                name: "counts_per_depth",
-                reason: "at least two usable depths are required".to_string(),
-            });
-        }
-        self.evaluate_points(&depths, &variances)
-    }
 }
 
 /// Total-failure check: wraps the SP 800-90B repetition-count test, which fires within a
@@ -210,52 +174,6 @@ mod tests {
         let outcome = test.evaluate_points(&depths, &sigma2).unwrap();
         assert!(!outcome.alarm, "ratio {}", outcome.ratio_to_reference);
         assert!((outcome.ratio_to_reference - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn counter_read_outs_feed_the_same_fit() {
-        // Thermal-only source with an exaggerated jitter so the synthetic counter
-        // differences are many counts wide and integer rounding is negligible.
-        let f0 = 1.0e8;
-        let b_th = 1.0e6;
-        let model = PhaseNoiseModel::thermal_only(b_th, f0).unwrap();
-        let reference = model.thermal_period_jitter();
-        let test = OnlineThermalTest::new(OnlineTestConfig::new(f0, reference, 0.5).unwrap());
-        let acc = AccumulationModel::new(model);
-        let mut counts_per_depth = Vec::new();
-        for &n in &[10_000usize, 20_000, 40_000] {
-            // Counter differences alternating ±σ_N·f0 reproduce variance ≈ σ²_N·f0²
-            // (sample variance of an alternating ±x series is ≈ x²).
-            let sigma_counts = (acc.sigma2_n(n)).sqrt() * f0;
-            let mut counts = vec![1_000_000u64];
-            for i in 0..40 {
-                let delta = if i % 2 == 0 {
-                    sigma_counts
-                } else {
-                    -sigma_counts
-                };
-                let prev = *counts.last().expect("non-empty") as f64;
-                counts.push((prev + delta).round() as u64);
-            }
-            counts_per_depth.push((n, counts));
-        }
-        let outcome = test.evaluate_counts(&counts_per_depth).unwrap();
-        assert!(!outcome.alarm, "ratio {}", outcome.ratio_to_reference);
-        assert!(
-            outcome.ratio_to_reference > 0.8 && outcome.ratio_to_reference < 1.25,
-            "ratio {}",
-            outcome.ratio_to_reference
-        );
-    }
-
-    #[test]
-    fn evaluate_counts_requires_two_usable_depths() {
-        let test = paper_test();
-        assert!(test.evaluate_counts(&[(100, vec![1, 2, 3])]).is_err());
-        assert!(test
-            .evaluate_counts(&[(100, vec![1, 2]), (200, vec![1, 2, 3])])
-            .is_err());
-        assert!(test.evaluate_counts(&[(0, vec![1, 2, 3, 4])]).is_err());
     }
 
     #[test]

@@ -199,10 +199,11 @@ fn biased_source_alarms_instead_of_streaming() {
 }
 
 /// The thermal online test is wired through the engine itself: shard workers
-/// periodically acquire `σ²_N` counter sweeps from the source's physical model.  With
+/// periodically read `σ²_N` sweeps off the walk's own edge counter.  With
 /// a commissioning reference matching the design, the stream flows; with a reference
 /// ten times the actual jitter (i.e. the deployed rings accumulate 100× less jitter
-/// variance than commissioned — a locked/injected device), the shard alarms.
+/// variance than commissioned — a locked/injected device), the shard alarms; and a
+/// batch too short to resolve two sweep depths fails the shard closed.
 #[test]
 fn engine_runs_the_thermal_online_test_against_its_sources() {
     let sampled = PhaseNoiseModel::new(1.2e6, 0.0, 103.0e6).unwrap();
@@ -210,11 +211,11 @@ fn engine_runs_the_thermal_online_test_against_its_sources() {
     let relative = sampled.relative_to(&sampling).unwrap();
     let spec = SourceSpec::ero(2, JitterProfile::Strong).unwrap();
 
-    let run = |reference: f64| {
+    let run = |reference: f64, batch_bits: usize| {
         let thermal = OnlineTestConfig::new(relative.frequency(), reference, 0.5).unwrap();
         let mut config = EngineConfig::new(spec.clone())
             .seed(11)
-            .batch_bits(4096)
+            .batch_bits(batch_bits)
             .budget_bytes(Some(2048))
             .health(
                 HealthConfig::default()
@@ -229,11 +230,20 @@ fn engine_runs_the_thermal_online_test_against_its_sources() {
         (result, obs)
     };
 
-    let (healthy, obs) = run(relative.thermal_period_jitter());
+    let (healthy, obs) = run(relative.thermal_period_jitter(), 4096);
     assert_eq!(healthy.unwrap().len(), 2048);
     assert!(obs.postmortems().is_empty(), "no alarm, no postmortem");
 
-    let (attacked, obs) = run(relative.thermal_period_jitter() * 10.0);
+    let (short, _) = run(relative.thermal_period_jitter(), 256);
+    match short {
+        Err(EngineError::HealthAlarm { kind, reason, .. }) => {
+            assert_eq!(kind, AlarmKind::SourceFailure, "{reason}");
+            assert!(reason.contains("thermal fit failed"), "{reason}");
+        }
+        other => panic!("expected a failed thermal fit, got {other:?}"),
+    }
+
+    let (attacked, obs) = run(relative.thermal_period_jitter() * 10.0, 4096);
     match attacked {
         Err(EngineError::HealthAlarm { kind, reason, .. }) => {
             assert_eq!(kind, AlarmKind::Thermal, "unexpected alarm: {reason}");
@@ -596,15 +606,16 @@ fn audit_every_lane_catches_an_overclaim_on_a_non_zero_shard() {
     );
 }
 
-/// A thermal test on a source without a physical model is rejected up front instead of
+/// A thermal test on a source without an edge counter is rejected up front instead of
 /// being silently ignored.
 #[test]
 fn thermal_test_on_model_source_fails_fast() {
     let model = PhaseNoiseModel::date14_experiment();
     let thermal =
         OnlineTestConfig::new(model.frequency(), model.thermal_period_jitter(), 0.5).unwrap();
-    // A pool, `xor:K` included, has no sweep of its own either.
-    for spec in ["model", "xor:2"] {
+    // A pool, `xor:K` included, has no sweep of its own either, and the record walk of
+    // a flicker profile does not count edges.
+    for spec in ["model", "xor:2", "ero:64:date14"] {
         let config = EngineConfig::new(SourceSpec::parse(spec).unwrap())
             .health(HealthConfig::default().with_thermal(thermal.clone()));
         match Engine::spawn(config) {

@@ -9,7 +9,8 @@
 //! fails is pinned to its alarm instead.
 //!
 //! With two shards the merge order depends on thread timing, so the two-shard case
-//! compares each shard's own stream.
+//! compares each shard's own stream.  The `σ²_N` thermal test reads the walk's own
+//! edge counter and draws nothing, so with it on the anchors serve the same bytes.
 //!
 //! The eRO walks draw their Gaussians through the platform's `ln`; the digests were
 //! recorded on x86-64 Linux with glibc.
@@ -18,7 +19,8 @@ use std::time::{Duration, Instant};
 
 use ptrng::engine::health::HealthConfig;
 use ptrng::engine::pool::{ConditionerSpec, Engine, EngineConfig};
-use ptrng::engine::source::SourceSpec;
+use ptrng::engine::source::{JitterProfile, SourceSpec};
+use ptrng::trng::online::OnlineTestConfig;
 use ptrng::trng::sha256::Sha256;
 
 /// Base seeds of the matrix cases.
@@ -140,9 +142,15 @@ fn config(source: &str, conditioner: &str, seed: u64, batch_bits: usize) -> Engi
 
 /// The hex SHA-256 of a one-shard run's output, or the alarm that ended it.
 fn run(source: &str, conditioner: &str, seed: u64, batch_bits: usize, budget: u64) -> String {
-    let config = config(source, conditioner, seed, batch_bits)
-        .shards(1)
-        .budget_bytes(Some(budget));
+    serve(
+        config(source, conditioner, seed, batch_bits)
+            .shards(1)
+            .budget_bytes(Some(budget)),
+    )
+}
+
+/// The hex SHA-256 of an engine's output, or the alarm that ended it.
+fn serve(config: EngineConfig) -> String {
     let mut engine = Engine::spawn(config).unwrap();
     let outcome = engine.read_to_end();
     engine.join().unwrap();
@@ -184,6 +192,28 @@ fn ptrngd_anchor_digests() {
     for (source, conditioner, batch_bits, budget, digest) in ANCHORS {
         assert_eq!(
             run(source, conditioner, 7, batch_bits, budget),
+            digest,
+            "{source} + {conditioner}, {batch_bits}-bit batches, {budget} bytes"
+        );
+    }
+}
+
+#[test]
+fn ptrngd_anchor_digests_with_the_thermal_lane_on() {
+    // Every batch sweeps, against the rings' own thermal jitter.
+    let rings = JitterProfile::Strong.ero_config(16).unwrap();
+    let relative = rings.sampled.relative_to(&rings.sampling).unwrap();
+    let thermal =
+        OnlineTestConfig::new(relative.frequency(), relative.thermal_period_jitter(), 0.5).unwrap();
+    let anchors = ANCHORS.iter().filter(|anchor| anchor.0 == "ero:16:strong");
+    for &(source, conditioner, batch_bits, budget, digest) in anchors {
+        let mut config = config(source, conditioner, 7, batch_bits)
+            .shards(1)
+            .budget_bytes(Some(budget))
+            .health(HealthConfig::default().with_thermal(thermal.clone()));
+        config.thermal_check_batches = 1;
+        assert_eq!(
+            serve(config),
             digest,
             "{source} + {conditioner}, {batch_bits}-bit batches, {budget} bytes"
         );
