@@ -26,6 +26,14 @@
 //! by a seed that *was* accounted when drawn.  The dip only bites when the next
 //! reseed comes due.
 //!
+//! One mutex guards the DRBG's state machine, not its hashing: a draw takes it
+//! to (re)seed when due, reserve one generate call ([`HashDrbg::reserve`]:
+//! counter checks and the state advance) and count it, then releases it and
+//! runs that call's Hashgen alone, so concurrent drawers (the server's
+//! `--threads` workers) hash in parallel.  Each reserved call's bytes go to
+//! exactly one drawer, and one drawer's calls fill its buffer in order; a draw
+//! longer than one call may interleave its calls with another drawer's.
+//!
 //! Every (re)seed lands on the consumer-side flight recorder as an
 //! [`EventKind::DrbgReseed`](ptrng_obs::EventKind) event (and the `--journal`
 //! sink), with its latency on the `ptrng_drbg_reseed_seconds` histogram.
@@ -34,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ptrng_trng::drbg::{DrbgError, HashDrbg, MAX_REQUEST_BYTES, MIN_ENTROPY_INPUT_BYTES};
+use ptrng_trng::drbg::{DrbgError, HashDrbg, Hashgen, MAX_REQUEST_BYTES, MIN_ENTROPY_INPUT_BYTES};
 
 use crate::tap::EntropyTap;
 use crate::{EngineError, Result};
@@ -132,6 +140,7 @@ pub struct ExpandedTap {
     seed_draw_bytes: usize,
     /// Dynamic per-bit claim below which a reseed can no longer be funded.
     required_h_per_bit: f64,
+    /// The DRBG state machine; held to reseed and reserve, never to hash.
     inner: Mutex<Expansion>,
     generates: AtomicU64,
     reseeds: AtomicU64,
@@ -218,25 +227,32 @@ impl ExpandedTap {
     /// stream ends mid-seed.  On error `out` may be partially overwritten but
     /// nothing unaccounted was ever *emitted* as valid output.
     pub fn draw(&self, out: &mut [u8]) -> Result<()> {
-        let mut inner = self.inner.lock().expect("expanded tap lock poisoned");
         let mut offset = 0;
         while offset < out.len() {
-            self.ensure_seeded(&mut inner)?;
-            let since = self.bytes_since_reseed.load(Ordering::Relaxed);
-            let allowance = self.policy.reseed_after_bytes.saturating_sub(since);
-            let chunk = (out.len() - offset)
-                .min(MAX_REQUEST_BYTES)
-                .min(allowance as usize);
-            let drbg = inner.drbg.as_mut().expect("seeded above");
-            drbg.generate(&mut out[offset..offset + chunk], &[])
-                .map_err(|e| drbg_fault(&e))?;
-            self.generates.fetch_add(1, Ordering::Relaxed);
-            self.bytes_total.fetch_add(chunk as u64, Ordering::Relaxed);
-            self.bytes_since_reseed
-                .fetch_add(chunk as u64, Ordering::Relaxed);
-            offset += chunk;
+            let (job, len) = self.reserve(out.len() - offset)?;
+            job.fill(&mut out[offset..offset + len]);
+            offset += len;
         }
         Ok(())
+    }
+
+    /// Under the lock: (re)seeds if the policy demands it, reserves the next
+    /// generate call — `wanted` bytes clamped to the request cap and the seed's
+    /// remaining allowance — and counts it.  The caller fills the returned job
+    /// after the lock is released.
+    fn reserve(&self, wanted: usize) -> Result<(Hashgen, usize)> {
+        let mut inner = self.inner.lock().expect("expanded tap lock poisoned");
+        self.ensure_seeded(&mut inner)?;
+        let since = self.bytes_since_reseed.load(Ordering::Relaxed);
+        let allowance = self.policy.reseed_after_bytes.saturating_sub(since);
+        let len = wanted.min(MAX_REQUEST_BYTES).min(allowance as usize);
+        let drbg = inner.drbg.as_mut().expect("seeded above");
+        let job = drbg.reserve(len, &[]).map_err(|e| drbg_fault(&e))?;
+        self.generates.fetch_add(1, Ordering::Relaxed);
+        self.bytes_total.fetch_add(len as u64, Ordering::Relaxed);
+        self.bytes_since_reseed
+            .fetch_add(len as u64, Ordering::Relaxed);
+        Ok((job, len))
     }
 
     /// Forces a funded reseed now, regardless of the allowance (operational

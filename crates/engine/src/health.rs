@@ -182,6 +182,9 @@ pub struct HealthMonitor {
     // Thermal online test.
     thermal: Option<OnlineThermalTest>,
     thermal_strikes: u32,
+    /// Consecutive failing thermal evaluations seen while the state is still
+    /// `Startup` (it stays `Startup` until the battery passes).
+    startup_strikes: u32,
 }
 
 impl HealthMonitor {
@@ -231,6 +234,7 @@ impl HealthMonitor {
             startup_buffer: config.startup_battery.then(Vec::new),
             thermal: config.thermal.clone().map(OnlineThermalTest::new),
             thermal_strikes: config.thermal_strikes,
+            startup_strikes: 0,
         })
     }
 
@@ -335,12 +339,21 @@ impl HealthMonitor {
                 .collect();
             self.startup_buffer = None;
             if failures.is_empty() {
-                self.state = HealthState::Healthy;
+                self.pass_startup();
             } else {
                 self.trip(AlarmReason::StartupBatteryFailed(failures));
             }
         }
         Ok(&self.state)
+    }
+
+    /// Leaves `Startup` after a passing battery: `Healthy`, or `Suspect` with
+    /// the thermal strikes counted while the battery was still collecting.
+    fn pass_startup(&mut self) {
+        self.state = match self.startup_strikes {
+            0 => HealthState::Healthy,
+            strikes => HealthState::Suspect { strikes },
+        };
     }
 
     /// Runs the continuous tests over valid bits until the first alarm, a packed word
@@ -488,7 +501,9 @@ impl HealthMonitor {
     /// Feeds one `σ²_N` counter sweep (depths and variances) to the thermal test.
     ///
     /// Healthy evaluations clear accumulated strikes; failing ones accumulate and
-    /// latch the alarm at `thermal_strikes`.
+    /// latch the alarm at `thermal_strikes`.  While the startup battery is still
+    /// collecting, the state stays `Startup` (output stays withheld) and the
+    /// strikes are carried into `Suspect` when the battery passes.
     ///
     /// # Errors
     ///
@@ -508,18 +523,24 @@ impl HealthMonitor {
         if self.is_alarmed() {
             return Ok(&self.state);
         }
+        let starting = self.state == HealthState::Startup;
         if outcome.alarm {
             let strikes = match self.state {
                 HealthState::Suspect { strikes } => strikes + 1,
+                HealthState::Startup => self.startup_strikes + 1,
                 _ => 1,
             };
             if strikes >= self.thermal_strikes {
                 self.trip(AlarmReason::ThermalCollapse {
                     ratio: outcome.ratio_to_reference,
                 });
+            } else if starting {
+                self.startup_strikes = strikes;
             } else {
                 self.state = HealthState::Suspect { strikes };
             }
+        } else if starting {
+            self.startup_strikes = 0;
         } else if matches!(self.state, HealthState::Suspect { .. }) {
             self.state = HealthState::Healthy;
         }
@@ -681,6 +702,45 @@ mod tests {
     }
 
     #[test]
+    fn a_strike_during_startup_withholds_output_and_carries_over() {
+        let config = HealthConfig::default().with_thermal(thermal_config());
+        let mut monitor = HealthMonitor::new(&config, &ledger(1.0)).unwrap();
+        let (depths, healthy) = sweep(1.0);
+        let (_, collapsed) = sweep(0.01);
+
+        // One collapsed sweep before the battery has passed: still withheld.
+        monitor.observe_sigma2_points(&depths, &collapsed).unwrap();
+        assert_eq!(monitor.state(), &HealthState::Startup);
+        assert!(!monitor.may_publish());
+
+        // The battery passes with the strike pending: suspect, not healthy.
+        monitor
+            .observe_output_bits(&random_bits(fips::FIPS_BLOCK_BITS, 3))
+            .unwrap();
+        assert_eq!(monitor.state(), &HealthState::Suspect { strikes: 1 });
+        assert!(monitor.may_publish());
+
+        // A healthy sweep during startup clears the pending strike.
+        let mut monitor = HealthMonitor::new(&config, &ledger(1.0)).unwrap();
+        monitor.observe_sigma2_points(&depths, &collapsed).unwrap();
+        monitor.observe_sigma2_points(&depths, &healthy).unwrap();
+        monitor
+            .observe_output_bits(&random_bits(fips::FIPS_BLOCK_BITS, 3))
+            .unwrap();
+        assert_eq!(monitor.state(), &HealthState::Healthy);
+
+        // Strikes during startup still latch the alarm at `thermal_strikes`.
+        let mut monitor = HealthMonitor::new(&config, &ledger(1.0)).unwrap();
+        monitor.observe_sigma2_points(&depths, &collapsed).unwrap();
+        monitor.observe_sigma2_points(&depths, &collapsed).unwrap();
+        assert!(matches!(
+            monitor.state(),
+            HealthState::Alarmed(AlarmReason::ThermalCollapse { .. })
+        ));
+        assert!(!monitor.may_publish());
+    }
+
+    #[test]
     fn config_validation() {
         let bad = HealthConfig {
             thermal_strikes: 0,
@@ -779,7 +839,7 @@ mod tests {
                     .collect();
                 monitor.startup_buffer = None;
                 if failures.is_empty() {
-                    monitor.state = HealthState::Healthy;
+                    monitor.pass_startup();
                 } else {
                     monitor.trip(AlarmReason::StartupBatteryFailed(failures));
                 }

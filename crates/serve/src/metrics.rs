@@ -144,6 +144,17 @@ pub fn render_prometheus_into(
         MetricKind::Gauge,
         u8::from(serving),
     );
+    enc.family(
+        "ptrng_sha256_kernel_info",
+        "SHA-256 compression kernel this process runs (sha-ni or scalar), for the \
+         sha256 conditioner and the /random DRBG; always 1.",
+        MetricKind::Gauge,
+    );
+    enc.sample(
+        "ptrng_sha256_kernel_info",
+        &[("kernel", ptrng_trng::sha256::kernel())],
+        1,
+    );
 
     // Per-shard breakdown.
     enc.family(
@@ -429,5 +440,12 @@ mod tests {
         assert!(text.contains("# TYPE ptrng_raw_bits_total counter"));
         assert!(text.contains("# TYPE ptrng_accounted_entropy_bits_total counter"));
         assert!(text.contains("# HELP ptrng_serving "));
+        let kernel = ptrng_trng::sha256::kernel();
+        assert!(
+            text.contains(&format!(
+                "\nptrng_sha256_kernel_info{{kernel=\"{kernel}\"}} 1\n"
+            )),
+            "the SHA-256 kernel is named on every scrape:\n{text}"
+        );
     }
 }

@@ -16,13 +16,19 @@
 //!   `reseed_counter` ([`HashDrbg`]);
 //! * `Hash_df` (§10.3.1) derives seeds ([`HashDrbg::instantiate`],
 //!   [`HashDrbg::reseed`]);
-//! * `Hashgen` (§10.1.1.4) expands output one digest per 32 bytes — a 55-byte
-//!   message pads to exactly one SHA-256 block, so the hot loop is a single
+//! * `Generate` (§10.1.1.4) runs in two parts: [`HashDrbg::reserve`] checks the
+//!   counters, folds in the additional input, copies `V` into a [`Hashgen`] job
+//!   and advances the state (steps 4–6 read only that `V`, never the output),
+//!   then [`Hashgen::fill`] writes the bytes.  [`HashDrbg::generate`] is the two
+//!   in a row; a caller that shares one DRBG between threads reserves under its
+//!   lock and fills after releasing it, so the hashing runs in parallel;
+//! * `Hashgen` expands output one digest per 32 bytes — a 55-byte message pads
+//!   to exactly one SHA-256 block, so the hot loop is a single
 //!   [`crate::sha256::compress_block`] per 32 output bytes;
 //! * per-request cap 2^19 bits ([`MAX_REQUEST_BYTES`]) and the reseed interval
 //!   (≤ 2^48, [`MAX_RESEED_INTERVAL`]) are enforced, not advisory;
 //! * uninstantiate zeroizes the working state ([`HashDrbg::uninstantiate`],
-//!   also on drop).
+//!   also on drop), and a [`Hashgen`] job zeroizes its copy of `V` on drop.
 //!
 //! Known-answer coverage lives in `tests/drbg_vectors.rs` against DRBGVS-format
 //! vector files under `tests/data/drbg/`.
@@ -46,7 +52,9 @@
 
 use thiserror::Error;
 
-use crate::sha256::{compress_block, Sha256, BLOCK_BYTES, DIGEST_BYTES, INITIAL_STATE};
+use crate::sha256::{
+    compress_block, digest_bytes, Sha256, BLOCK_BYTES, DIGEST_BYTES, INITIAL_STATE,
+};
 
 /// `seedlen` for the SHA-256 instantiation: 440 bits (SP 800-90A Table 2).
 pub const SEEDLEN_BYTES: usize = 55;
@@ -176,15 +184,29 @@ impl HashDrbg {
 
     /// §10.1.1.4 `Generate`: fills `out` with pseudorandom bytes.
     ///
-    /// Refuses with [`DrbgError::RequestTooLarge`] past the 2^19-bit cap and
-    /// with [`DrbgError::ReseedRequired`] once the reseed interval elapses —
-    /// on that error `out` is untouched and the call may be retried after
-    /// [`HashDrbg::reseed`].
+    /// Equal to [`HashDrbg::reserve`] for `out.len()` bytes followed by
+    /// [`Hashgen::fill`].  Refuses with [`DrbgError::RequestTooLarge`] past the
+    /// 2^19-bit cap and with [`DrbgError::ReseedRequired`] once the reseed
+    /// interval elapses — on that error `out` is untouched and the call may be
+    /// retried after [`HashDrbg::reseed`].
     pub fn generate(&mut self, out: &mut [u8], additional: &[u8]) -> Result<(), DrbgError> {
-        if out.len() > MAX_REQUEST_BYTES {
-            return Err(DrbgError::RequestTooLarge {
-                requested: out.len(),
-            });
+        self.reserve(out.len(), additional)?.fill(out);
+        Ok(())
+    }
+
+    /// §10.1.1.4 `Generate` without its output: reserves the next `len` bytes
+    /// of the stream as a [`Hashgen`] job and advances the working state past
+    /// them.
+    ///
+    /// Runs steps 1–2 (counter checks, additional input), copies `V` into the
+    /// job, then steps 4–6: `V = (V + Hash(0x03 || V) + C + reseed_counter)`
+    /// and `reseed_counter += 1`.  Those steps read only the copied `V`, never
+    /// the output, so jobs may be filled in any order and on any thread; each
+    /// yields exactly the bytes its `generate` call would have.  Errors as
+    /// [`HashDrbg::generate`], with the state untouched.
+    pub fn reserve(&mut self, len: usize, additional: &[u8]) -> Result<Hashgen, DrbgError> {
+        if len > MAX_REQUEST_BYTES {
+            return Err(DrbgError::RequestTooLarge { requested: len });
         }
         if self.reseed_counter > self.reseed_interval {
             return Err(DrbgError::ReseedRequired {
@@ -201,7 +223,7 @@ impl HashDrbg {
             let w = hasher.finalize();
             add_into(&mut self.v, &w);
         }
-        self.hashgen(out);
+        let job = Hashgen::new(&self.v, len);
         // H = Hash(0x03 || V); V = (V + H + C + reseed_counter) mod 2^seedlen.
         let mut hasher = Sha256::new();
         hasher.update(&[0x03]);
@@ -212,7 +234,7 @@ impl HashDrbg {
         add_into(&mut self.v, &c);
         add_into(&mut self.v, &self.reseed_counter.to_be_bytes());
         self.reseed_counter += 1;
-        Ok(())
+        Ok(job)
     }
 
     /// Generate calls since the last (re)seed, plus one (§10.1.1 state).
@@ -232,39 +254,6 @@ impl HashDrbg {
     pub fn uninstantiate(self) {
         // Drop does the zeroization.
     }
-
-    /// §10.1.1.4 `Hashgen`: out = leftmost bytes of Hash(data) || Hash(data+1) || …
-    /// with data starting at `V`.
-    ///
-    /// `data` is always exactly `seedlen` = 55 bytes, which pads to a single
-    /// SHA-256 block — so the padded block is built once and only the 55 message
-    /// bytes are incremented between compressions.
-    fn hashgen(&self, out: &mut [u8]) {
-        let mut block = [0u8; BLOCK_BYTES];
-        block[..SEEDLEN_BYTES].copy_from_slice(&self.v);
-        block[SEEDLEN_BYTES] = 0x80;
-        block[56..].copy_from_slice(&((SEEDLEN_BYTES as u64) * 8).to_be_bytes());
-        let mut chunks = out.chunks_exact_mut(DIGEST_BYTES);
-        for chunk in &mut chunks {
-            let mut state = INITIAL_STATE;
-            compress_block(&mut state, &block);
-            for (bytes, word) in chunk.chunks_exact_mut(4).zip(state) {
-                bytes.copy_from_slice(&word.to_be_bytes());
-            }
-            increment_data(&mut block);
-        }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let mut state = INITIAL_STATE;
-            compress_block(&mut state, &block);
-            let mut digest = [0u8; DIGEST_BYTES];
-            for (bytes, word) in digest.chunks_exact_mut(4).zip(state) {
-                bytes.copy_from_slice(&word.to_be_bytes());
-            }
-            let take = tail.len();
-            tail.copy_from_slice(&digest[..take]);
-        }
-    }
 }
 
 impl Drop for HashDrbg {
@@ -276,6 +265,69 @@ impl Drop for HashDrbg {
         // compiler from eliding the clearing stores above.
         std::hint::black_box(&mut self.v);
         std::hint::black_box(&mut self.c);
+    }
+}
+
+/// One reserved `Generate` output: §10.1.1.4 `Hashgen` over the `V` that
+/// [`HashDrbg::reserve`] copied, `len` bytes long.
+///
+/// `out` = leftmost bytes of Hash(data) || Hash(data + 1) || … with data
+/// starting at that `V`.  The job holds key material, so like [`HashDrbg`] it
+/// implements neither `Clone` (a copy would replay output) nor a
+/// state-revealing `Debug`, and it zeroizes its copy of `V` on drop;
+/// [`Hashgen::fill`] consumes it, so each reservation is written once.
+pub struct Hashgen {
+    /// The pre-padded SHA-256 block whose first [`SEEDLEN_BYTES`] bytes are data.
+    block: [u8; BLOCK_BYTES],
+    len: usize,
+}
+
+impl std::fmt::Debug for Hashgen {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Hashgen")
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Hashgen {
+    /// A job starting at data = `v`.  `data` is always exactly `seedlen` = 55
+    /// bytes, which pads to a single SHA-256 block — so the padded block is built
+    /// once and only the 55 message bytes are incremented between compressions.
+    fn new(v: &[u8; SEEDLEN_BYTES], len: usize) -> Self {
+        let mut block = [0u8; BLOCK_BYTES];
+        block[..SEEDLEN_BYTES].copy_from_slice(v);
+        block[SEEDLEN_BYTES] = 0x80;
+        block[SEEDLEN_BYTES + 1..].copy_from_slice(&((SEEDLEN_BYTES as u64) * 8).to_be_bytes());
+        Self { block, len }
+    }
+
+    /// Writes the reserved bytes into `out`.
+    ///
+    /// # Panics
+    ///
+    /// When `out.len()` differs from the reserved length: a longer fill would
+    /// pass the per-request cap the reservation checked.
+    pub fn fill(mut self, out: &mut [u8]) {
+        assert_eq!(
+            out.len(),
+            self.len,
+            "a Hashgen job fills its reserved length"
+        );
+        for chunk in out.chunks_mut(DIGEST_BYTES) {
+            let mut state = INITIAL_STATE;
+            compress_block(&mut state, &self.block);
+            chunk.copy_from_slice(&digest_bytes(&state)[..chunk.len()]);
+            increment_data(&mut self.block);
+        }
+    }
+}
+
+impl Drop for Hashgen {
+    fn drop(&mut self) {
+        self.block.fill(0);
+        // As in `HashDrbg`'s drop: keeps the clearing stores.
+        std::hint::black_box(&mut self.block);
     }
 }
 
@@ -474,11 +526,66 @@ mod tests {
     }
 
     #[test]
+    fn jobs_filled_out_of_order_equal_sequential_generates() {
+        let mut sequential = drbg();
+        let mut first = vec![0u8; 1000];
+        let mut second = vec![0u8; 77];
+        sequential.generate(&mut first, b"first").expect("generate");
+        sequential.generate(&mut second, &[]).expect("generate");
+
+        let mut reserved = drbg();
+        let job_one = reserved.reserve(1000, b"first").expect("reserve");
+        let job_two = reserved.reserve(77, &[]).expect("reserve");
+        let mut second_filled = vec![0u8; 77];
+        job_two.fill(&mut second_filled);
+        let mut first_filled = vec![0u8; 1000];
+        job_one.fill(&mut first_filled);
+
+        assert_eq!(first_filled, first);
+        assert_eq!(second_filled, second);
+        assert_eq!(reserved.v, sequential.v);
+        assert_eq!(reserved.c, sequential.c);
+        assert_eq!(reserved.reseed_counter, sequential.reseed_counter);
+    }
+
+    #[test]
+    fn reserve_refuses_like_generate_and_leaves_the_state() {
+        let mut d = drbg().with_reseed_interval(1).expect("valid interval");
+        assert!(matches!(
+            d.reserve(MAX_REQUEST_BYTES + 1, &[]),
+            Err(DrbgError::RequestTooLarge { .. })
+        ));
+        let v = d.v;
+        d.reserve(16, &[]).expect("first").fill(&mut [0u8; 16]);
+        assert_ne!(d.v, v);
+        let v = d.v;
+        assert!(matches!(
+            d.reserve(16, b"ignored"),
+            Err(DrbgError::ReseedRequired { .. })
+        ));
+        assert_eq!(d.v, v, "a refused reservation folds in no additional input");
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved length")]
+    fn a_job_fills_only_its_reserved_length() {
+        let job = drbg().reserve(32, &[]).expect("reserve");
+        job.fill(&mut [0u8; 33]);
+    }
+
+    #[test]
     fn debug_does_not_leak_state() {
-        let d = drbg();
+        let mut d = drbg();
         let printed = format!("{d:?}");
         assert!(printed.contains("reseed_counter"));
         assert!(!printed.contains("v:"), "V must not be printable");
+        let job = d.reserve(64, &[]).expect("reserve");
+        let printed = format!("{job:?}");
+        assert!(printed.contains("len: 64"));
+        assert!(
+            !printed.contains("block"),
+            "the copied V must not be printable"
+        );
     }
 
     #[test]

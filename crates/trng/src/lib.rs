@@ -11,7 +11,8 @@
 //!   (XOR decimation, von Neumann, a SHA-256 vetted conditioner) threading an
 //!   end-to-end [`conditioning::EntropyLedger`] from the stochastic model's
 //!   dependent-jitter bound to the emitted bits,
-//! * [`sha256`] — a hand-rolled FIPS 180-4 SHA-256 backing the vetted conditioner,
+//! * [`sha256`] — a hand-rolled FIPS 180-4 SHA-256 backing the vetted conditioner
+//!   and the DRBG, with a run-time-detected SHA-NI compression kernel,
 //! * [`drbg`] — an SP 800-90A Hash_DRBG over that SHA-256: the expansion tier that
 //!   decouples serving throughput from the physical source (seeded and reseeded
 //!   from ledger-accounted conditioned output by the engine's `ExpandedTap`),
@@ -47,7 +48,10 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// One justified, SAFETY-commented exception: the call into the SHA-NI kernel in
+// `sha256::compress_block`, after the run-time check for the CPU features it is
+// compiled for.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conditioning;

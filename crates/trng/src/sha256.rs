@@ -1,12 +1,25 @@
-//! SHA-256 (FIPS 180-4), hand-rolled for the vetted conditioning stage.
+//! SHA-256 (FIPS 180-4), hand-rolled for the vetted conditioning stage and the DRBG.
 //!
 //! The container building this workspace has no registry access, so the SP 800-90B
 //! §3.1.5 vetted conditioner cannot pull in a crypto crate; this module implements
 //! the full FIPS 180-4 algorithm (padding, message schedule, compression) and is
-//! tested against the FIPS 180-4 / NIST CAVS example vectors.  The implementation
-//! favours clarity over speed — the streaming [`Sha256::update`] path compresses
-//! one 64-byte block at a time with no allocation, which is already far faster
-//! than the simulated entropy sources feeding it.
+//! tested against the FIPS 180-4 / NIST CAVS example vectors.
+//!
+//! The compression runs on one of two kernels, picked once per process by
+//! [`kernel`]:
+//!
+//! * `"sha-ni"` — the x86 SHA extensions (`sha256rnds2`, `sha256msg1/2`), on an
+//!   x86-64 CPU that reports them: about six times the scalar rate.  The kernel is
+//!   a `#[target_feature]` function built only from safe intrinsics; the call
+//!   after the run-time feature check is this crate's one `unsafe` block;
+//! * `"scalar"` — the FIPS 180-4 §6.2.2 rounds in plain Rust: the only path on
+//!   other CPUs, and the reference the SHA-NI kernel is tested against.
+//!
+//! Both kernels compute the same function, so the choice never moves a byte; no
+//! flag or environment variable picks one.  The `/random` tier is bound by this
+//! compression, so `/metrics` names the kernel in `ptrng_sha256_kernel_info`.
+
+use std::sync::OnceLock;
 
 /// FIPS 180-4 §4.2.2 round constants: the first 32 bits of the fractional parts of
 /// the cube roots of the first 64 primes.
@@ -50,7 +63,57 @@ pub const INITIAL_STATE: [u32; 8] = H0;
 /// 55 bytes pads to exactly one block (`msg || 0x80 || zeros || bit-length`), so
 /// callers that hash many same-length short messages can build the padded block
 /// once, mutate the message bytes in place and re-compress from [`INITIAL_STATE`].
+/// It runs on the kernel [`kernel`] names.
 pub fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_BYTES]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni() {
+        // SAFETY: `sha_ni()` is true only after `is_x86_feature_detected!`
+        // confirmed every feature `sha_ni::compress` is compiled for (sha, sse2,
+        // ssse3, sse4.1) on this CPU; the kernel itself takes only references.
+        #[allow(unsafe_code)]
+        unsafe {
+            sha_ni::compress(state, block);
+        }
+        return;
+    }
+    compress_scalar(state, block);
+}
+
+/// The name of the compression kernel this process runs: `"sha-ni"` or
+/// `"scalar"` (see the module documentation).
+pub fn kernel() -> &'static str {
+    if sha_ni() {
+        "sha-ni"
+    } else {
+        "scalar"
+    }
+}
+
+/// Whether this CPU runs the SHA-NI kernel, detected once per process.
+fn sha_ni() -> bool {
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("sse2")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    })
+}
+
+/// The big-endian digest bytes of a compression state (FIPS 180-4 §6.2.2 step 4).
+pub fn digest_bytes(state: &[u32; 8]) -> [u8; DIGEST_BYTES] {
+    let mut digest = [0u8; DIGEST_BYTES];
+    for (chunk, word) in digest.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    digest
+}
+
+/// The scalar compression kernel: FIPS 180-4 §6.2.2 as written.
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; BLOCK_BYTES]) {
     let mut w = [0u32; 64];
     for (t, chunk) in block.chunks_exact(4).enumerate() {
         w[t] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -86,6 +149,95 @@ pub fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_BYTES]) {
     }
     for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
         *word = word.wrapping_add(add);
+    }
+}
+
+/// The SHA-NI compression kernel, on the state layout of Intel's reference code:
+/// the eight working variables live as two lane vectors, ABEF and CDGH, that
+/// `sha256rnds2` advances two rounds at a time, while `sha256msg1`/`sha256msg2`
+/// extend the message schedule four words at a time.
+///
+/// Every intrinsic here is a safe function inside a function compiled for its
+/// features; bytes move in and out through 64-bit lanes (`_mm_set_epi64x`,
+/// `_mm_extract_epi64`), so the kernel takes no raw pointers.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi64, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8,
+    };
+
+    use super::{BLOCK_BYTES, K};
+
+    /// Compresses `block` into `state`; equal to [`super::compress_scalar`].
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_BYTES]) {
+        // `pshufb` mask that byte-swaps every 32-bit lane: message words are
+        // big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let pair = |lo: u32, hi: u32| (u64::from(hi) << 32 | u64::from(lo)) as i64;
+        let dcba = _mm_set_epi64x(pair(state[2], state[3]), pair(state[0], state[1]));
+        let hgfe = _mm_set_epi64x(pair(state[6], state[7]), pair(state[4], state[5]));
+        let cdab = _mm_shuffle_epi32::<0xb1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1b>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xf0>(efgh, cdab);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        // Message words 4j..4j+4 of the block, one vector per j, as a ring of
+        // four: group j ≥ 4 replaces group j − 4.
+        let (bytes, _) = block.as_chunks::<8>();
+        let mut w = [_mm_set_epi64x(0, 0); 4];
+        for (j, slot) in w.iter_mut().enumerate() {
+            let lo = u64::from_le_bytes(bytes[2 * j]) as i64;
+            let hi = u64::from_le_bytes(bytes[2 * j + 1]) as i64;
+            *slot = _mm_shuffle_epi8(_mm_set_epi64x(hi, lo), bswap);
+        }
+        for group in 0..16 {
+            if group >= 4 {
+                w[group % 4] = schedule(
+                    w[group % 4],
+                    w[(group + 1) % 4],
+                    w[(group + 2) % 4],
+                    w[(group + 3) % 4],
+                );
+            }
+            let k = &K[4 * group..4 * group + 4];
+            let wk = _mm_add_epi32(
+                w[group % 4],
+                _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+            );
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        }
+
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        let feba = _mm_shuffle_epi32::<0x1b>(abef);
+        let dchg = _mm_shuffle_epi32::<0xb1>(cdgh);
+        let dcba = _mm_blend_epi16::<0xf0>(feba, dchg);
+        let hgef = _mm_alignr_epi8::<8>(dchg, feba);
+        let lanes = [
+            _mm_extract_epi64::<0>(dcba),
+            _mm_extract_epi64::<1>(dcba),
+            _mm_extract_epi64::<0>(hgef),
+            _mm_extract_epi64::<1>(hgef),
+        ];
+        for (words, lane) in state.as_chunks_mut::<2>().0.iter_mut().zip(lanes) {
+            let lane = lane as u64;
+            *words = [lane as u32, (lane >> 32) as u32];
+        }
+    }
+
+    /// The next four schedule words from the previous sixteen
+    /// (`W[t−16..t−12]`, …, `W[t−4..t]`).
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let sigma0 = _mm_sha256msg1_epu32(w0, w1);
+        let t7 = _mm_alignr_epi8::<4>(w3, w2);
+        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, t7), w3)
     }
 }
 
@@ -131,13 +283,12 @@ impl Sha256 {
                 // through would overwrite it with the empty remainder.
                 return;
             }
-            let block = self.block;
-            self.compress(&block);
+            compress_block(&mut self.state, &self.block);
             self.block_len = 0;
         }
         let mut chunks = rest.chunks_exact(BLOCK_BYTES);
         for chunk in &mut chunks {
-            self.compress(chunk.try_into().expect("a whole block"));
+            compress_block(&mut self.state, chunk.try_into().expect("a whole block"));
         }
         let tail = chunks.remainder();
         self.block[..tail.len()].copy_from_slice(tail);
@@ -161,15 +312,12 @@ impl Sha256 {
         block[self.block_len] = 0x80;
         block[self.block_len + 1..].fill(0);
         if self.block_len >= BLOCK_BYTES - 8 {
-            self.compress(&block);
+            compress_block(&mut self.state, &block);
             block = [0; BLOCK_BYTES];
         }
         block[BLOCK_BYTES - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
-        let mut digest = [0u8; DIGEST_BYTES];
-        for (chunk, word) in digest.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
+        compress_block(&mut self.state, &block);
+        let digest = digest_bytes(&self.state);
         self.state = H0;
         self.block_len = 0;
         self.total_bytes = 0;
@@ -182,11 +330,6 @@ impl Sha256 {
         hasher.update(data);
         hasher.finalize()
     }
-
-    /// FIPS 180-4 §6.2.2 compression of one 512-bit block.
-    fn compress(&mut self, block: &[u8; BLOCK_BYTES]) {
-        compress_block(&mut self.state, block);
-    }
 }
 
 #[cfg(test)]
@@ -195,6 +338,42 @@ mod tests {
 
     fn hex(digest: &[u8]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One-shot digest of `message` padded in full (FIPS 180-4 §5.1.1) and
+    /// compressed block by block with `compress`.
+    fn digest_with(
+        compress: fn(&mut [u32; 8], &[u8; BLOCK_BYTES]),
+        message: &[u8],
+    ) -> [u8; DIGEST_BYTES] {
+        let mut padded = message.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_BYTES != BLOCK_BYTES - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(message.len() as u64 * 8).to_be_bytes());
+        let mut state = INITIAL_STATE;
+        for block in padded.chunks_exact(BLOCK_BYTES) {
+            compress(&mut state, block.try_into().expect("a whole block"));
+        }
+        digest_bytes(&state)
+    }
+
+    /// Checks `message` against `expected` through the streaming hasher, the
+    /// scalar kernel and the dispatched kernel.
+    fn check_every_path(message: &[u8], expected: &str) {
+        assert_eq!(hex(&Sha256::digest(message)), expected, "streaming");
+        assert_eq!(
+            hex(&digest_with(compress_scalar, message)),
+            expected,
+            "compress_scalar"
+        );
+        assert_eq!(
+            hex(&digest_with(compress_block, message)),
+            expected,
+            "compress_block on the {} kernel",
+            kernel()
+        );
     }
 
     /// FIPS 180-4 / NIST CAVS example vectors.
@@ -220,26 +399,55 @@ mod tests {
             ),
         ];
         for (message, expected) in cases {
-            assert_eq!(
-                hex(&Sha256::digest(message)),
-                expected,
-                "message {message:?}"
-            );
+            check_every_path(message, expected);
         }
     }
 
     /// FIPS 180-4 long-message vector: one million repetitions of `a`.
     #[test]
     fn fips_180_4_million_a() {
+        let expected = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut hasher = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             hasher.update(&chunk);
         }
-        assert_eq!(
-            hex(&hasher.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex(&hasher.finalize()), expected, "chunked streaming");
+        check_every_path(&[b'a'; 1_000_000], expected);
+    }
+
+    #[test]
+    fn the_kernel_is_sha_ni_exactly_when_the_cpu_reports_it() {
+        #[cfg(target_arch = "x86_64")]
+        let sha_ni = std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("sse2")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let sha_ni = false;
+        assert_eq!(kernel(), if sha_ni { "sha-ni" } else { "scalar" });
+    }
+
+    mod property {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Any state and any block: the dispatched kernel and the scalar
+            /// reference compress to the same state.
+            #[test]
+            fn kernels_agree_on_random_states_and_blocks(
+                words in proptest::collection::vec(0u32..=u32::MAX, 8),
+                bytes in proptest::collection::vec(0u8..=u8::MAX, BLOCK_BYTES),
+            ) {
+                let mut dispatched: [u32; 8] = words.as_slice().try_into().expect("eight words");
+                let mut scalar = dispatched;
+                let block: &[u8; BLOCK_BYTES] = bytes.as_slice().try_into().expect("one block");
+                compress_block(&mut dispatched, block);
+                compress_scalar(&mut scalar, block);
+                prop_assert_eq!(dispatched, scalar);
+            }
+        }
     }
 
     #[test]
@@ -265,11 +473,7 @@ mod tests {
         block[56..].copy_from_slice(&(55u64 * 8).to_be_bytes());
         let mut state = INITIAL_STATE;
         compress_block(&mut state, &block);
-        let mut digest = [0u8; DIGEST_BYTES];
-        for (chunk, word) in digest.chunks_exact_mut(4).zip(state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        assert_eq!(digest, Sha256::digest(&message));
+        assert_eq!(digest_bytes(&state), Sha256::digest(&message));
     }
 
     #[test]
@@ -286,11 +490,7 @@ mod tests {
             }
             hasher.update(&bit_len.to_be_bytes());
             assert_eq!(hasher.block_len, 0);
-            let mut digest = [0u8; DIGEST_BYTES];
-            for (chunk, word) in digest.chunks_exact_mut(4).zip(hasher.state) {
-                chunk.copy_from_slice(&word.to_be_bytes());
-            }
-            digest
+            digest_bytes(&hasher.state)
         };
         let message: Vec<u8> = (0..200u32).map(|i| (i * 37 % 256) as u8).collect();
         for len in 0..=message.len() {

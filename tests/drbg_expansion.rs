@@ -2,9 +2,13 @@
 //! ledger debit tracks the (re)seed count exactly, the per-seed output
 //! allowance is never exceeded for any draw schedule, and a starved source
 //! surfaces as the engine's `EntropyDeficit` refusal — never as unaccounted
-//! output.
+//! output.  Racing drawers split the expanded stream exactly: the generate
+//! calls are reserved under the tap's lock and hashed outside it, and no call's
+//! bytes are repeated or skipped.
 
-use ptrng_engine::expanded::{DrbgPolicy, ExpandedTap, DEFAULT_SEED_BITS_ACCOUNTED};
+use std::sync::Barrier;
+
+use ptrng_engine::expanded::{DrbgPolicy, DrbgSnapshot, ExpandedTap, DEFAULT_SEED_BITS_ACCOUNTED};
 use ptrng_engine::fault::FaultPlan;
 use ptrng_engine::health::HealthConfig;
 use ptrng_engine::pool::{Engine, EngineConfig};
@@ -20,6 +24,79 @@ fn model_expanded(policy: DrbgPolicy, seed: u64) -> ExpandedTap {
         .health(HealthConfig::default().without_startup_battery());
     let tap = Engine::spawn(config).expect("engine spawns").into_tap();
     ExpandedTap::new(tap, policy).expect("valid policy")
+}
+
+/// Four threads racing 64 KiB draws (one generate call each) on one tap get,
+/// between them, exactly the chunks one thread draws from an equal tap with the
+/// same seed, each chunk once — across reseeds, which land every fourth call.
+#[test]
+fn concurrent_draws_partition_the_expanded_stream_exactly() {
+    const CHUNK: usize = 64 * 1024;
+    const THREADS: usize = 4;
+    const DRAWS_PER_THREAD: usize = 16;
+    let policy = DrbgPolicy {
+        reseed_after_bytes: 4 * CHUNK as u64,
+        ..DrbgPolicy::default()
+    };
+
+    let reference = model_expanded(policy, 41);
+    let mut expected: Vec<Vec<u8>> = (0..THREADS * DRAWS_PER_THREAD)
+        .map(|_| {
+            let mut chunk = vec![0u8; CHUNK];
+            reference.draw(&mut chunk).expect("reference draw");
+            chunk
+        })
+        .collect();
+    let reference_snapshot = reference.snapshot();
+    reference.shutdown().expect("shutdown");
+
+    let racing = model_expanded(policy, 41);
+    let start = Barrier::new(THREADS);
+    let mut drawn: Vec<Vec<u8>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..DRAWS_PER_THREAD)
+                        .map(|_| {
+                            let mut chunk = vec![0u8; CHUNK];
+                            racing.draw(&mut chunk).expect("racing draw");
+                            chunk
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("drawer thread joins"))
+            .collect()
+    });
+    let racing_snapshot = racing.snapshot();
+    racing.shutdown().expect("shutdown");
+
+    expected.sort();
+    let before = expected.len();
+    expected.dedup();
+    assert_eq!(expected.len(), before, "the reference chunks are distinct");
+    drawn.sort();
+    assert!(
+        drawn == expected,
+        "racing draws repeat or skip a generate call"
+    );
+    let counters = |snap: DrbgSnapshot| {
+        (
+            snap.generates,
+            snap.reseeds,
+            snap.bytes_total,
+            snap.seed_bits_debited,
+        )
+    };
+    assert_eq!(counters(racing_snapshot), counters(reference_snapshot));
+    assert_eq!(
+        racing_snapshot.reseeds,
+        (THREADS * DRAWS_PER_THREAD / 4) as u64
+    );
 }
 
 mod property {

@@ -274,14 +274,20 @@ fn entropy_deficit_answers_503_with_the_ledger_body() {
     assert!(text.contains("\"required_min_entropy\":0.997"), "{text}");
 
     // metrics report the refusal state instead of lying about throughput: the
-    // engine's zero snapshot, one series per configured shard.
+    // engine's zero snapshot, one series per configured shard.  The SHA-256
+    // kernel is named on every scrape, with or without `--drbg`.
     let metrics = get(server.addr, "/metrics");
     assert_eq!(metrics.status, 200);
     let text = metrics.body_text();
+    let kernel = format!(
+        "ptrng_sha256_kernel_info{{kernel=\"{}\"}} 1",
+        ptrng_trng::sha256::kernel()
+    );
     for line in [
         "ptrng_serving 0",
         "ptrng_shard_output_bytes_total{shard=\"0\"} 0",
         "ptrng_accounted_entropy_bits_total 0.000",
+        kernel.as_str(),
     ] {
         assert!(
             text.lines().any(|l| l == line),
