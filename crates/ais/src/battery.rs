@@ -55,16 +55,6 @@ impl BatteryReport {
             .map(|r| r.name.as_str())
             .collect()
     }
-
-    /// Number of tests run.
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Returns `true` when no test was run.
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
 }
 
 /// Runs the configured suites over a raw bit sequence.
@@ -114,8 +104,7 @@ mod tests {
         let bits = random_bits(200_000, 31);
         let report = run_battery(&bits, &BatteryConfig::default()).unwrap();
         assert!(report.all_passed(), "failures: {:?}", report.failures());
-        assert!(report.len() >= 11);
-        assert!(!report.is_empty());
+        assert!(report.results.len() >= 11);
         assert_eq!(report.bits_analysed, 200_000);
     }
 
@@ -140,7 +129,7 @@ mod tests {
             sp80090b_min_entropy: None,
         };
         let report = run_battery(&bits, &config).unwrap();
-        assert_eq!(report.len(), 4);
+        assert_eq!(report.results.len(), 4);
         assert!(report.results.iter().all(|r| r.name.starts_with("FIPS")));
     }
 
@@ -155,7 +144,7 @@ mod tests {
             sp80090b_min_entropy: None,
         };
         let report = run_battery(&bits, &config).unwrap();
-        assert_eq!(report.len(), 1);
+        assert_eq!(report.results.len(), 1);
         assert!(report.all_passed());
     }
 

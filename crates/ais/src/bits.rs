@@ -93,11 +93,6 @@ pub fn ensure_bit_len(bits: &[u8], needed: usize) -> Result<()> {
     Ok(())
 }
 
-/// Converts a slice of booleans to a bit vector.
-pub fn from_bools(bools: &[bool]) -> Vec<u8> {
-    bools.iter().map(|&b| u8::from(b)).collect()
-}
-
 /// Packs every whole byte of `bits` MSB-first onto `out` and returns the trailing
 /// samples (fewer than eight) that do not fill a byte.
 ///
@@ -143,24 +138,6 @@ pub fn unpack_bytes(bytes: &[u8]) -> Vec<u8> {
     bits
 }
 
-/// Packs bits into bytes, most significant bit first.  The last byte is zero-padded if
-/// the bit count is not a multiple of 8.
-///
-/// # Errors
-///
-/// Returns an error when a sample is not a bit.
-pub fn pack_bits(bits: &[u8]) -> Result<Vec<u8>> {
-    ensure_bits(bits)?;
-    let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
-    let tail = pack_into(bits, &mut bytes);
-    if !tail.is_empty() {
-        let mut lane = [0u8; 8];
-        lane[..tail.len()].copy_from_slice(tail);
-        pack_into(&lane, &mut bytes);
-    }
-    Ok(bytes)
-}
-
 /// An MSB-first packer that carries a partial byte across calls: bits arrive in
 /// slices of any length, and every byte they complete is appended to the caller's
 /// buffer.
@@ -197,13 +174,8 @@ impl PartialByte {
     }
 
     /// Number of pending bits (0..8).
-    pub fn len(&self) -> usize {
+    pub fn pending_bits(&self) -> usize {
         self.len
-    }
-
-    /// Whether no bit is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -267,6 +239,20 @@ pub fn run_lengths(bits: &[u8]) -> Result<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Packs bits into bytes, most significant bit first, zero-padding the last byte:
+    /// the shipped kernel behind a bit check, for the packing tests.
+    fn pack_bits(bits: &[u8]) -> Result<Vec<u8>> {
+        ensure_bits(bits)?;
+        let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
+        let tail = pack_into(bits, &mut bytes);
+        if !tail.is_empty() {
+            let mut lane = [0u8; 8];
+            lane[..tail.len()].copy_from_slice(tail);
+            pack_into(&lane, &mut bytes);
+        }
+        Ok(bytes)
+    }
 
     /// The per-bit MSB-first packing loop the word kernel replaced (low bit of each
     /// sample, last byte zero-padded).
@@ -358,9 +344,7 @@ mod tests {
 
     #[test]
     fn from_bools_and_count_ones() {
-        let bits = from_bools(&[true, false, true, true]);
-        assert_eq!(bits, vec![1, 0, 1, 1]);
-        assert_eq!(count_ones(&bits).unwrap(), 3);
+        assert_eq!(count_ones(&[1, 0, 1, 1]).unwrap(), 3);
         assert!(count_ones(&[3]).is_err());
     }
 
@@ -441,11 +425,11 @@ mod tests {
                 for cut in cuts.into_iter().chain([bits.len()]) {
                     carry.pack(&bits[from..cut], &mut packed);
                     from = cut;
-                    prop_assert_eq!(packed.len() * 8 + carry.len(), cut);
+                    prop_assert_eq!(packed.len() * 8 + carry.pending_bits(), cut);
                 }
                 let whole = bits.len() / 8 * 8;
                 prop_assert_eq!(packed, pack_per_bit(&bits[..whole]));
-                prop_assert_eq!(carry.len(), bits.len() - whole);
+                prop_assert_eq!(carry.pending_bits(), bits.len() - whole);
             }
 
             #[test]

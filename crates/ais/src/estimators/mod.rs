@@ -16,7 +16,8 @@
 //! * [`markov_estimate`] — first-order Markov chain, 128-sample paths (§6.3.3),
 //! * [`compression_estimate`] — Maurer-style compression statistic (§6.3.4),
 //! * [`t_tuple_estimate`] — frequent tuples (§6.3.5),
-//! * [`lrs_estimate`] — longest repeated substring (§6.3.6),
+//! * [`t_tuple_and_lrs_estimates`] — longest repeated substring (§6.3.6), with the
+//!   t-tuple estimate off one shared prefix sort,
 //! * [`multi_mcw_estimate`] — MultiMCW sliding-window prediction (§6.3.7),
 //! * [`lag_estimate`] — lag-subpredictor prediction (§6.3.8).
 //!
@@ -44,19 +45,19 @@
 //! # }
 //! ```
 
-pub mod collision;
-pub mod compression;
-pub mod markov;
-pub mod mcv;
-pub mod prediction;
-pub mod tuple;
+mod collision;
+mod compression;
+mod markov;
+mod mcv;
+mod prediction;
+mod tuple;
 
 pub use collision::collision_estimate;
 pub use compression::compression_estimate;
 pub use markov::markov_estimate;
 pub use mcv::mcv_estimate;
 pub use prediction::{lag_estimate, multi_mcw_estimate};
-pub use tuple::{lrs_estimate, t_tuple_and_lrs_estimates, t_tuple_estimate};
+pub use tuple::{t_tuple_and_lrs_estimates, t_tuple_estimate};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -253,7 +253,7 @@ fn tuple_counts(bits: &[u8]) -> Vec<TupleCounts> {
 ///
 /// `tuple_counts` yields every width's statistics in `O(n log n)`; the
 /// estimates then stop at the same cutoffs the specification defines (the
-/// frequent cutoff, the last width that repeats, the [`MAX_TUPLE_BITS`] cap).
+/// frequent cutoff, the last width that repeats, the `MAX_TUPLE_BITS` cap).
 ///
 /// # Errors
 ///
@@ -303,16 +303,6 @@ pub fn t_tuple_estimate(bits: &[u8]) -> Result<EstimatorResult> {
     Ok(t_tuple_and_lrs_estimates(bits)?.0)
 }
 
-/// Runs the LRS estimate over a bit sequence.
-///
-/// # Errors
-///
-/// Returns an error for sequences shorter than 70 bits or containing non-bit
-/// values.
-pub fn lrs_estimate(bits: &[u8]) -> Result<EstimatorResult> {
-    Ok(t_tuple_and_lrs_estimates(bits)?.1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,8 +350,7 @@ mod tests {
     #[test]
     fn ideal_bits_assess_high() {
         let bits = random_bits(1 << 15, 41);
-        let t = t_tuple_estimate(&bits).unwrap();
-        let l = lrs_estimate(&bits).unwrap();
+        let (t, l) = t_tuple_and_lrs_estimates(&bits).unwrap();
         assert!(t.h_per_bit > 0.9, "t-tuple {}", t.detail);
         assert!(l.h_per_bit > 0.9, "lrs {}", l.detail);
     }
@@ -453,7 +442,7 @@ mod tests {
     #[test]
     fn rejects_short_input() {
         assert!(t_tuple_estimate(&[0, 1, 0, 1]).is_err());
-        assert!(lrs_estimate(&[1; 32]).is_err());
+        assert!(t_tuple_and_lrs_estimates(&[1; 32]).is_err());
         assert!(t_tuple_and_lrs_estimates_reference(&[1; 32]).is_err());
     }
 

@@ -86,9 +86,6 @@ pub enum AisError {
         /// The offending value.
         value: u8,
     },
-    /// An underlying statistical routine failed.
-    #[error("statistics error: {0}")]
-    Stats(#[from] ptrng_stats::StatsError),
 }
 
 /// Convenience result alias used across the crate.

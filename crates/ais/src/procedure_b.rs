@@ -11,16 +11,12 @@
 //! variants are provided so reduced-size runs (unit tests, quick health checks) can reuse
 //! the same code.
 
-use ptrng_stats::special::chi_squared_sf;
-
 use crate::bits::{blocks_as_integers, ensure_bit_len};
 use crate::{AisError, Result, TestResult};
 
 /// Bits consumed by the standard T6a test.
 pub const T6_BITS: usize = 100_000;
 
-/// Coron-test parameters of the standard T8 run.
-pub const T8_BLOCK_BITS: usize = 8;
 /// Number of initialization blocks of the standard T8 run.
 pub const T8_INIT_BLOCKS: usize = 2_560;
 /// Number of evaluated blocks of the standard T8 run.
@@ -123,22 +119,6 @@ pub fn t7_transition_homogeneity(bits: &[u8], needed: usize) -> Result<TestResul
     ))
 }
 
-/// T8: Coron's entropy estimator with the standard AIS 31 parameters
-/// (8-bit blocks, 2560 initialization blocks, 256 000 test blocks, threshold 7.976).
-///
-/// # Errors
-///
-/// Returns an error when fewer than `8·(2560 + 256000)` bits are provided.
-pub fn t8_entropy(bits: &[u8]) -> Result<TestResult> {
-    t8_entropy_with(
-        bits,
-        T8_BLOCK_BITS,
-        T8_INIT_BLOCKS,
-        T8_TEST_BLOCKS,
-        T8_THRESHOLD,
-    )
-}
-
 /// Coron's entropy estimator with explicit parameters.
 ///
 /// For each of the `test_blocks` blocks following the `init_blocks` warm-up blocks, the
@@ -222,15 +202,6 @@ pub fn run_reduced(bits: &[u8]) -> Result<Vec<TestResult>> {
     ])
 }
 
-/// Computes the p-value of the T7 statistic (χ² with one degree of freedom).
-///
-/// # Errors
-///
-/// Returns an error when the statistic is negative.
-pub fn t7_p_value(statistic: f64) -> Result<f64> {
-    Ok(chi_squared_sf(statistic, 1)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,12 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn t7_p_value_is_small_for_large_statistics() {
-        assert!(t7_p_value(30.0).unwrap() < 1e-6);
-        assert!(t7_p_value(0.5).unwrap() > 0.4);
-    }
-
-    #[test]
     fn coron_estimator_approaches_block_entropy_for_uniform_bits() {
         let bits = random_bits(8 * 40_000, 4);
         let result = t8_entropy_with(&bits, 8, 1_000, 38_000, T8_THRESHOLD).unwrap();
@@ -332,7 +297,6 @@ mod tests {
         assert!(t8_entropy_with(&[0, 1], 0, 1, 1, 1.0).is_err());
         assert!(t8_entropy_with(&[0, 1], 8, 0, 1, 1.0).is_err());
         assert!(t8_entropy_with(&random_bits(100, 1), 8, 100, 100, 1.0).is_err());
-        assert!(t8_entropy(&random_bits(1000, 1)).is_err());
         assert!(run_reduced(&random_bits(100, 1)).is_err());
     }
 }

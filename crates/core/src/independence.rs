@@ -61,10 +61,13 @@ impl IndependenceAnalysis {
     /// Returns an error when the dataset has fewer than three points, the tolerance is
     /// not in `(0, 1)`, or the fit fails.
     pub fn with_tolerance(dataset: &Sigma2NDataset, tolerance: f64) -> Result<Self> {
-        if dataset.len() < 3 {
+        if dataset.points().len() < 3 {
             return Err(CoreError::InvalidParameter {
                 name: "dataset",
-                reason: format!("at least 3 points are required, got {}", dataset.len()),
+                reason: format!(
+                    "at least 3 points are required, got {}",
+                    dataset.points().len()
+                ),
             });
         }
         if !(tolerance > 0.0 && tolerance < 1.0) {
@@ -156,11 +159,6 @@ impl IndependenceAnalysis {
     pub fn independence_threshold_95(&self) -> Option<u64> {
         self.independence_threshold_95
     }
-
-    /// The ratio `r_N` predicted by the fitted model at depth `n`.
-    pub fn rn_ratio(&self, n: usize) -> f64 {
-        AccumulationModel::new(self.fitted_model).rn_ratio(n)
-    }
 }
 
 /// Weights for the `σ²_N` fit: the sampling variance of a variance estimate scales as
@@ -228,7 +226,8 @@ mod tests {
         );
         assert_eq!(analysis.independence_threshold_95(), Some(281));
         assert!((analysis.fitted_model().b_thermal() - 276.04).abs() / 276.04 < 1e-3);
-        assert!((analysis.rn_ratio(5354) - 0.5).abs() < 1e-3);
+        let rn = AccumulationModel::new(*analysis.fitted_model()).rn_ratio(5354);
+        assert!((rn - 0.5).abs() < 1e-3);
         assert!(analysis.max_depth() == 30_000);
         // The linear-only fit cannot explain the quadratic growth.
         assert!(analysis.linear_only_r_squared() < analysis.fit().r_squared);

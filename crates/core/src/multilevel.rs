@@ -21,7 +21,6 @@ use crate::{CoreError, Result};
 /// The full transistor-to-entropy pipeline for a pair of identical ring oscillators.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultilevelModel {
-    oscillator: RingOscillator,
     per_oscillator: PhaseNoiseModel,
     relative: PhaseNoiseModel,
 }
@@ -37,7 +36,6 @@ impl MultilevelModel {
         let per_oscillator = oscillator.phase_noise_model()?;
         let relative = per_oscillator.relative_to_identical();
         Ok(Self {
-            oscillator,
             per_oscillator,
             relative,
         })
@@ -70,12 +68,7 @@ impl MultilevelModel {
             relative.b_flicker() / 2.0,
             relative.frequency(),
         )?;
-        let ring = RingOscillator::builder()
-            .frequency(relative.frequency())
-            .build()
-            .map_err(CoreError::from)?;
         Ok(Self {
-            oscillator: ring,
             per_oscillator,
             relative,
         })
@@ -85,11 +78,6 @@ impl MultilevelModel {
     pub fn date14_experiment() -> Self {
         Self::from_relative_phase_noise(PhaseNoiseModel::date14_experiment())
             .expect("paper coefficients are valid")
-    }
-
-    /// The structural description of one ring.
-    pub fn oscillator(&self) -> &RingOscillator {
-        &self.oscillator
     }
 
     /// Phase noise of a single oscillator.
@@ -170,10 +158,10 @@ mod tests {
 
     #[test]
     fn technology_shrink_lowers_the_independence_threshold() {
-        let older =
-            MultilevelModel::from_device(MosTransistor::typical_130nm(), 3, 103.0e6).unwrap();
-        let newer =
-            MultilevelModel::from_device(MosTransistor::typical_65nm(), 3, 103.0e6).unwrap();
+        let device = MosTransistor::typical_130nm();
+        let older = MultilevelModel::from_device(device, 3, 103.0e6).unwrap();
+        let shrunk = device.scaled_geometry(0.5).unwrap();
+        let newer = MultilevelModel::from_device(shrunk, 3, 103.0e6).unwrap();
         let t_old = older.headline_numbers().unwrap().3.unwrap();
         let t_new = newer.headline_numbers().unwrap().3.unwrap();
         assert!(
@@ -186,7 +174,7 @@ mod tests {
     fn entropy_model_is_consistent_with_the_relative_noise() {
         let model = MultilevelModel::date14_experiment();
         let entropy = model.entropy();
-        assert_eq!(entropy.relative().b_thermal(), model.relative().b_thermal());
+        assert_eq!(entropy, EntropyModel::new(*model.relative()));
         assert!(entropy.entropy_bound_thermal(100_000) > 0.0);
     }
 

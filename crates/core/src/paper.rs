@@ -3,8 +3,6 @@
 //! These values pin the simulated reproduction to the published measurement so that every
 //! regenerated figure can be compared against the numbers quoted in the text.
 
-use ptrng_osc::phase::PhaseNoiseModel;
-
 /// Nominal frequency of the two ring oscillators: 103 MHz.
 pub const FREQUENCY_HZ: f64 = 103.0e6;
 
@@ -27,14 +25,10 @@ pub const THERMAL_JITTER_SECONDS: f64 = 15.89e-12;
 /// Relative thermal jitter reported in Section IV-B: `σ/T0 ≈ 1.6 ‰`.
 pub const THERMAL_JITTER_RATIO: f64 = 1.6e-3;
 
-/// The phase-noise model of the paper's oscillator pair (relative jitter).
-pub fn relative_phase_noise() -> PhaseNoiseModel {
-    PhaseNoiseModel::date14_experiment()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptrng_osc::phase::PhaseNoiseModel;
 
     #[test]
     fn constants_are_mutually_consistent() {
@@ -53,7 +47,7 @@ mod tests {
 
     #[test]
     fn relative_model_matches_the_constants() {
-        let model = relative_phase_noise();
+        let model = PhaseNoiseModel::date14_experiment();
         assert_eq!(model.frequency(), FREQUENCY_HZ);
         assert_eq!(model.b_thermal(), B_THERMAL_HZ);
         assert!((model.rn_constant().unwrap() - RN_CONSTANT).abs() < 1e-6);

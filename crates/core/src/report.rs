@@ -85,7 +85,7 @@ impl AnalysisReport {
             .collect();
         Ok(Self {
             estimator: dataset.estimator().to_string(),
-            dataset_points: dataset.len(),
+            dataset_points: dataset.points().len(),
             max_depth: analysis.max_depth(),
             frequency: dataset.frequency(),
             b_thermal: thermal.b_thermal,
@@ -214,15 +214,6 @@ impl std::fmt::Display for AnalysisReport {
     }
 }
 
-/// Convenience wrapper: analyse a dataset and return the JSON report in one call.
-///
-/// # Errors
-///
-/// Propagates the errors of [`AnalysisReport::from_dataset`] and of serialization.
-pub fn analyse_to_json(dataset: &Sigma2NDataset, entropy_depths: &[usize]) -> Result<String> {
-    AnalysisReport::from_dataset(dataset, entropy_depths)?.to_json()
-}
-
 /// Validates that a report's headline numbers are internally consistent (useful when a
 /// report is loaded from an external file).
 ///
@@ -319,8 +310,7 @@ mod tests {
         assert!(text.contains("b_thermal"));
         assert!(text.contains("verdict"));
         assert!(text.contains("entropy @ N"));
-        let direct = analyse_to_json(&paper_dataset(), &[5000]).unwrap();
-        assert!(direct.contains("b_thermal"));
+        assert!(json.contains("b_thermal"));
     }
 
     #[test]

@@ -196,16 +196,6 @@ impl ExpandedTap {
         &self.tap
     }
 
-    /// The reseed policy in force.
-    pub fn policy(&self) -> &DrbgPolicy {
-        &self.policy
-    }
-
-    /// Conditioned bytes drawn from the tap per (re)seed.
-    pub fn seed_draw_bytes(&self) -> usize {
-        self.seed_draw_bytes
-    }
-
     /// Current counters.
     pub fn snapshot(&self) -> DrbgSnapshot {
         DrbgSnapshot {
@@ -485,7 +475,7 @@ mod tests {
         let h_static = tap.tap().ledger().min_entropy_per_bit();
         let want = ((DEFAULT_SEED_BITS_ACCOUNTED as f64 / (8.0 * h_static)).ceil() as usize)
             .max(MIN_ENTROPY_INPUT_BYTES);
-        assert_eq!(tap.seed_draw_bytes(), want);
+        assert_eq!(tap.seed_draw_bytes, want);
         // The rounded-up draw means the static claim always funds itself.
         assert!(h_static + FUNDING_EPSILON >= tap.required_h_per_bit);
         tap.shutdown().expect("shutdown");

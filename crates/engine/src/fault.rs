@@ -78,26 +78,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// Stable kebab-case code (the `kind=` vocabulary of the DSL).
-    pub fn code(&self) -> &'static str {
-        match self {
-            FaultKind::Stuck => "stuck",
-            FaultKind::BiasDrift { .. } => "bias-drift",
-            FaultKind::VarianceCollapse => "variance-collapse",
-            FaultKind::Stall { .. } => "stall",
-            FaultKind::Intermittent => "intermittent",
-            FaultKind::Overclaim { .. } => "overclaim",
-        }
-    }
-}
-
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.code())
-    }
-}
-
 /// A deterministic fault script: which pool child, where in the drawn stream the
 /// fault activates and how long it lasts, and what goes wrong.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -276,11 +256,6 @@ impl FaultSource {
     pub fn active(&self) -> bool {
         let drawn_bytes = self.drawn_bits / 8;
         drawn_bytes >= self.plan.at_bytes && drawn_bytes < self.plan.end_bytes()
-    }
-
-    /// The plan this source executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 

@@ -262,13 +262,9 @@ impl HealthMonitor {
     }
 
     /// The calibrated repetition-count cutoff.
-    pub fn repetition_cutoff(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn repetition_cutoff(&self) -> u64 {
         self.rct_cutoff
-    }
-
-    /// The calibrated adaptive-proportion cutoff.
-    pub fn adaptive_cutoff(&self) -> u64 {
-        self.apt_cutoff
     }
 
     fn trip(&mut self, reason: AlarmReason) {
@@ -771,11 +767,11 @@ mod tests {
     fn cutoffs_scale_with_claim_and_exponent() {
         let default = HealthMonitor::new(&HealthConfig::default(), &ledger(1.0)).unwrap();
         // e = 40, H = 1: RCT cutoff 41; APT cutoff ≈ 512 + 7.45·16 ≈ 632.
-        assert_eq!(default.repetition_cutoff(), 41);
+        assert_eq!(default.rct_cutoff, 41);
         assert!(
-            (600..660).contains(&default.adaptive_cutoff()),
+            (600..660).contains(&default.apt_cutoff),
             "{}",
-            default.adaptive_cutoff()
+            default.apt_cutoff
         );
 
         // The SP 800-90B example calibration (e = 20) is reachable by configuration.
@@ -784,13 +780,13 @@ mod tests {
             ..HealthConfig::default()
         };
         let spec = HealthMonitor::new(&spec_cfg, &ledger(1.0)).unwrap();
-        assert_eq!(spec.repetition_cutoff(), 21);
-        assert!(spec.adaptive_cutoff() < default.adaptive_cutoff());
+        assert_eq!(spec.rct_cutoff, 21);
+        assert!(spec.apt_cutoff < default.apt_cutoff);
 
         // Lower claimed entropy loosens both cutoffs.
         let loose = HealthMonitor::new(&HealthConfig::default(), &ledger(0.5)).unwrap();
-        assert_eq!(loose.repetition_cutoff(), 81);
-        assert!(loose.adaptive_cutoff() > default.adaptive_cutoff());
+        assert_eq!(loose.rct_cutoff, 81);
+        assert!(loose.apt_cutoff > default.apt_cutoff);
     }
 
     /// The bit-at-a-time loop the word-at-a-time `observe_bits` replaced: check a
@@ -886,7 +882,7 @@ mod tests {
         }
         .unwrap();
         let expected = [41, 21, 801][claim.min(2)];
-        assert_eq!(monitor.repetition_cutoff(), expected);
+        assert_eq!(monitor.rct_cutoff, expected);
         monitor
     }
 
@@ -956,7 +952,7 @@ mod tests {
                     let p_one = [0.5, 0.75, 0.9, 0.99][(case / 3 % 4) as usize];
                     let mut fast = calibrated(claim);
                     let mut slow = fast.clone();
-                    let cutoff = fast.repetition_cutoff() as usize;
+                    let cutoff = fast.rct_cutoff as usize;
                     let (bits, cuts) = scenario(seed ^ case, cutoff, p_one, case >= 12);
                     let mut from = 0;
                     for cut in cuts.iter().copied().chain([bits.len()]) {

@@ -64,11 +64,6 @@ impl AlarmKind {
         }
     }
 
-    /// Parses a kebab-case code back into a kind.
-    pub fn parse(code: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|kind| kind.code() == code)
-    }
-
     /// Whether this alarm terminates its shard worker.
     ///
     /// Terminal alarms stop the shard for good; the two pool lifecycle kinds
@@ -98,7 +93,9 @@ impl Serialize for AlarmKind {
 impl Deserialize for AlarmKind {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
-            Value::Str(code) => AlarmKind::parse(code)
+            Value::Str(code) => Self::ALL
+                .into_iter()
+                .find(|kind| kind.code() == code)
                 .ok_or_else(|| DeError::custom(format!("unknown alarm kind `{code}`"))),
             _ => Err(DeError::custom("alarm kind must be a string")),
         }
@@ -376,10 +373,15 @@ mod tests {
 
     #[test]
     fn alarm_kinds_round_trip_codes_and_json() {
+        // Distinct codes, so each code names exactly one kind on the wire.
+        let codes: std::collections::HashSet<&str> =
+            AlarmKind::ALL.iter().map(|kind| kind.code()).collect();
+        assert_eq!(codes.len(), AlarmKind::ALL.len());
         for kind in AlarmKind::ALL {
-            assert_eq!(AlarmKind::parse(kind.code()), Some(kind));
+            let json = serde_json::to_string(&kind).expect("serializes");
+            assert_eq!(serde_json::from_str::<AlarmKind>(&json).ok(), Some(kind));
         }
-        assert_eq!(AlarmKind::parse("no-such-alarm"), None);
+        assert!(serde_json::from_str::<AlarmKind>("\"no-such-alarm\"").is_err());
         // Exactly the two pool lifecycle kinds are non-terminal.
         let non_terminal: Vec<AlarmKind> = AlarmKind::ALL
             .into_iter()

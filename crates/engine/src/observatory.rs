@@ -87,11 +87,6 @@ impl Observatory {
         &self.recorders[shard]
     }
 
-    /// The consumer-side (tap) flight recorder.
-    pub fn tap_recorder(&self) -> &Arc<FlightRecorder> {
-        &self.tap_recorder
-    }
-
     /// Batch-generation latency histogram (all shards).
     pub fn batch_histogram(&self) -> &Arc<LogLinearHistogram> {
         &self.batch_ns
@@ -126,11 +121,6 @@ impl Observatory {
         }
     }
 
-    /// Tap blocking-wait histogram.
-    pub fn tap_wait_histogram(&self) -> &Arc<LogLinearHistogram> {
-        &self.tap_wait_ns
-    }
-
     /// The bounded store alarm postmortems are pushed into.
     pub fn postmortems(&self) -> &Arc<PostmortemStore> {
         &self.postmortems
@@ -161,7 +151,8 @@ impl Observatory {
     }
 
     /// DRBG reseed latency histogram (seed draw + derivation per (re)seed).
-    pub fn drbg_reseed_histogram(&self) -> &Arc<LogLinearHistogram> {
+    #[cfg(test)]
+    pub(crate) fn drbg_reseed_histogram(&self) -> &Arc<LogLinearHistogram> {
         &self.drbg_reseed_ns
     }
 
@@ -270,7 +261,7 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
         assert!(events.iter().any(|e| e.kind == EventKind::TapWait));
-        assert_eq!(obs.tap_wait_histogram().count(), 1);
+        assert_eq!(obs.tap_wait_ns.count(), 1);
     }
 
     #[test]

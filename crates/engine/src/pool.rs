@@ -94,23 +94,11 @@ impl ConditionerSpec {
         }
     }
 
-    /// A single von Neumann stage.
-    pub fn von_neumann() -> Self {
-        Self {
-            stages: vec![StageSpec::VonNeumann],
-        }
-    }
-
     /// A single SHA-256 vetted-conditioner stage with the given compression ratio.
     pub fn sha256(ratio: usize) -> Self {
         Self {
             stages: vec![StageSpec::Sha256 { ratio }],
         }
-    }
-
-    /// An arbitrary stage chain (first stage sees the raw bits).
-    pub fn chain(stages: Vec<StageSpec>) -> Self {
-        Self { stages }
     }
 
     /// Parses a CLI-style conditioner specification: `none`, or a comma-separated
@@ -156,11 +144,6 @@ impl ConditionerSpec {
             stages.push(stage);
         }
         Ok(Self { stages })
-    }
-
-    /// The declared stages.
-    pub fn stages(&self) -> &[StageSpec] {
-        &self.stages
     }
 
     /// Whether this is the identity conditioner.
@@ -1149,7 +1132,9 @@ mod tests {
         );
         assert_eq!(
             ConditionerSpec::parse("vn").unwrap(),
-            ConditionerSpec::von_neumann()
+            ConditionerSpec {
+                stages: vec![StageSpec::VonNeumann]
+            }
         );
         assert_eq!(
             ConditionerSpec::parse("sha256").unwrap(),
@@ -1161,10 +1146,9 @@ mod tests {
         );
         assert_eq!(
             ConditionerSpec::parse("xor:2,sha256:2").unwrap(),
-            ConditionerSpec::chain(vec![
-                StageSpec::XorDecimate(2),
-                StageSpec::Sha256 { ratio: 2 }
-            ])
+            ConditionerSpec {
+                stages: vec![StageSpec::XorDecimate(2), StageSpec::Sha256 { ratio: 2 }]
+            }
         );
         assert!(ConditionerSpec::parse("rot13").is_err());
         assert!(ConditionerSpec::parse("xor:abc").is_err());
@@ -1207,7 +1191,7 @@ mod tests {
         // ledger credit is capped by the consumed pair budget.
         let config = EngineConfig::new(SourceSpec::model(0.95).unwrap())
             .seed(1)
-            .conditioner(ConditionerSpec::von_neumann())
+            .conditioner(ConditionerSpec::parse("vn").unwrap())
             .min_output_entropy(Some(0.997))
             .health(HealthConfig::default().without_startup_battery());
         assert!(

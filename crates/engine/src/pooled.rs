@@ -295,11 +295,6 @@ impl PoolSource {
         Self::new(sources, options)
     }
 
-    /// The quarantine/probation tuning.
-    pub fn options(&self) -> &PoolOptions {
-        &self.options
-    }
-
     /// Quarantines `child` for `trip`: it stops being drawn, its credit leaves the
     /// mix, and a [`AlarmKind::SourceQuarantined`] event is queued.
     fn quarantine(&mut self, child: usize, trip: Trip) {

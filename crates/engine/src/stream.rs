@@ -71,42 +71,6 @@ impl ByteStream {
         self.live_shards
     }
 
-    /// Non-blocking variant of [`Iterator::next`]: polls the channel without parking
-    /// the caller.
-    ///
-    /// Returns `Ok(Some(batch))` when a batch was ready, and `Ok(None)` when no batch
-    /// is available *right now* or the stream has ended — disambiguate with
-    /// [`ByteStream::live_shards`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the alarm when the next pending message is a shard alarm.
-    pub fn try_next(&mut self) -> Result<Option<Batch>> {
-        while self.live_shards > 0 {
-            match self.rx.try_recv() {
-                Ok(Message::Batch(batch)) => return Ok(Some(batch)),
-                Ok(Message::ShardDone(shard)) => self.mark_finished(shard),
-                Ok(Message::Alarm {
-                    shard,
-                    kind,
-                    reason,
-                }) => {
-                    self.mark_finished(shard);
-                    return Err(EngineError::HealthAlarm {
-                        shard,
-                        kind,
-                        reason,
-                    });
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => return Ok(None),
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    self.live_shards = 0;
-                }
-            }
-        }
-        Ok(None)
-    }
-
     /// Collects every remaining batch into one byte vector, failing on the first
     /// shard alarm.
     ///
@@ -180,8 +144,9 @@ impl BitPacker {
     }
 
     /// Number of buffered bits not yet drained.
-    pub fn pending_bits(&self) -> usize {
-        self.packed.len() * 8 + self.partial.len()
+    #[cfg(test)]
+    fn pending_bits(&self) -> usize {
+        self.packed.len() * 8 + self.partial.pending_bits()
     }
 
     /// Drains as many full bytes as are available, keeping the remainder bits.
@@ -385,34 +350,6 @@ mod tests {
             Err(EngineError::HealthAlarm { shard: 1, .. })
         ));
         assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn try_next_polls_without_blocking() {
-        let (tx, rx) = sync_channel(8);
-        let mut stream = ByteStream::new(rx, 1);
-        // Empty channel: no batch, but the stream is still live.
-        assert!(stream.try_next().unwrap().is_none());
-        assert_eq!(stream.live_shards(), 1);
-        tx.send(Message::Batch(Batch {
-            shard: 0,
-            bytes: vec![9],
-            raw_bits: 8,
-        }))
-        .unwrap();
-        assert_eq!(stream.try_next().unwrap().unwrap().bytes, vec![9]);
-        tx.send(Message::Alarm {
-            shard: 0,
-            kind: AlarmKind::RepetitionCount,
-            reason: "test".to_string(),
-        })
-        .unwrap();
-        assert!(matches!(
-            stream.try_next(),
-            Err(EngineError::HealthAlarm { shard: 0, .. })
-        ));
-        assert!(stream.try_next().unwrap().is_none());
-        assert_eq!(stream.live_shards(), 0);
     }
 
     #[test]

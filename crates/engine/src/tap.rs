@@ -5,9 +5,8 @@
 //! want bytes concurrently.  An [`EntropyTap`] wraps the stream (plus the worker
 //! handles and the conditioned-output [`EntropyLedger`]) behind a mutex so that:
 //!
-//! * any number of threads can [`EntropyTap::draw`] (blocking) or
-//!   [`EntropyTap::try_draw`] (non-blocking) bytes; each byte is handed out exactly
-//!   once, so concurrent consumers always receive **distinct** entropy,
+//! * any number of threads can [`EntropyTap::draw`] bytes; each byte is handed out
+//!   exactly once, so concurrent consumers always receive **distinct** entropy,
 //! * backpressure is preserved end to end: when no consumer draws, the shard workers
 //!   park on the bounded channel exactly as they do under a slow `ptrngd` sink,
 //! * shard alarms do not poison the tap — the remaining shards keep serving, and the
@@ -116,11 +115,6 @@ impl EntropyTap {
         &self.ledger
     }
 
-    /// Number of shards the engine was spawned with.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// A point-in-time snapshot of the engine counters.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
@@ -217,22 +211,8 @@ impl EntropyTap {
         written
     }
 
-    /// Non-blocking draw: fills `out` from bytes that are already buffered or
-    /// sitting in the channel, returning immediately with the number of bytes
-    /// written — including 0 when another consumer currently holds the tap.
-    pub fn try_draw(&self, out: &mut [u8]) -> usize {
-        // `try_lock`, not `lock`: a blocked `draw` on another thread must not turn
-        // this call into a blocking one.
-        let Ok(mut inner) = self.inner.try_lock() else {
-            return 0;
-        };
-        let written = self.pump(&mut inner, out, ByteStream::try_next);
-        self.refresh_live(&inner);
-        written
-    }
-
-    /// Shared draw loop: `pull` returns `Ok(None)` when no batch is (currently)
-    /// available, which ends the loop.
+    /// The draw loop: `pull` returns `Ok(None)` when no batch is available, which
+    /// ends the loop.
     fn pump(
         &self,
         inner: &mut TapInner,
@@ -351,17 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn try_draw_never_blocks() {
-        let tap = tap(None);
-        let mut out = vec![0u8; 1 << 20];
-        // Unlimited budget: a blocking draw of 1 MiB would take a while, but the
-        // non-blocking one returns with whatever the queue holds right now.
-        let drawn = tap.try_draw(&mut out);
-        assert!(drawn < out.len());
-        tap.shutdown().unwrap();
-    }
-
-    #[test]
     fn alarms_are_visible_without_any_draw() {
         // Shard-count 1 with a stuck source: the worker records the alarm at alarm
         // time, so the tap reports it before any consumer touches the stream.
@@ -398,7 +367,7 @@ mod tests {
         let mut out = vec![0u8; 2048];
         assert_eq!(tap.draw(&mut out), 2048);
         assert_eq!(tap.metrics_snapshot().total_output_bytes, 2048);
-        assert_eq!(tap.shards(), 2);
+        assert_eq!(tap.shards, 2);
         tap.shutdown().unwrap();
     }
 

@@ -10,7 +10,6 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use ptrng_stats::seed::derive_seed;
-use ptrng_stats::sn::log_spaced_depths;
 
 use crate::circuit::DifferentialCircuit;
 use crate::dataset::{DatasetPoint, Sigma2NDataset};
@@ -42,28 +41,6 @@ pub struct CampaignConfig {
     pub seed: u64,
 }
 
-impl CampaignConfig {
-    /// A configuration with `count` log-spaced depths between `min_n` and `max_n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the depth range is invalid.
-    pub fn log_spaced(
-        min_n: usize,
-        max_n: usize,
-        count: usize,
-        estimator: Estimator,
-        seed: u64,
-    ) -> Result<Self> {
-        let depths = log_spaced_depths(min_n, max_n, count)?;
-        Ok(Self {
-            depths,
-            estimator,
-            seed,
-        })
-    }
-}
-
 /// A reproducible acquisition campaign over one differential circuit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MeasurementCampaign {
@@ -91,16 +68,6 @@ impl MeasurementCampaign {
             });
         }
         Ok(Self { circuit, config })
-    }
-
-    /// The circuit under measurement.
-    pub fn circuit(&self) -> &DifferentialCircuit {
-        &self.circuit
-    }
-
-    /// The campaign configuration.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
     }
 
     /// Runs the campaign, evaluating the counter-mode depths in parallel.
@@ -200,7 +167,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(dataset.len(), 3);
+        assert_eq!(dataset.points().len(), 3);
         assert_eq!(dataset.estimator(), "counter-circuit");
         let acc = AccumulationModel::new(circuit.relative_model().unwrap());
         for p in dataset.points() {
@@ -210,21 +177,6 @@ mod tests {
         let v = dataset.variances();
         assert_rel(v[1] / v[0], 2.0, 0.4);
         assert_rel(v[2] / v[1], 2.0, 0.4);
-    }
-
-    #[test]
-    fn log_spaced_config_builds_sorted_depths() {
-        let config = CampaignConfig::log_spaced(
-            1,
-            1000,
-            10,
-            Estimator::PeriodDomain { record_len: 4096 },
-            1,
-        )
-        .unwrap();
-        assert!(config.depths.len() <= 10);
-        assert_eq!(*config.depths.first().unwrap(), 1);
-        assert_eq!(*config.depths.last().unwrap(), 1000);
     }
 
     #[test]
@@ -242,14 +194,6 @@ mod tests {
             seed: 0,
         };
         assert!(MeasurementCampaign::new(circuit, zero).is_err());
-        assert!(CampaignConfig::log_spaced(
-            0,
-            10,
-            5,
-            Estimator::PeriodDomain { record_len: 1024 },
-            0
-        )
-        .is_err());
     }
 
     #[test]

@@ -57,12 +57,6 @@ impl DifferentialCircuit {
         }
     }
 
-    /// Creates a circuit from pre-configured jitter generators (e.g. with a non-default
-    /// flicker synthesis back-end).
-    pub fn from_generators(target: JitterGenerator, reference: JitterGenerator) -> Self {
-        Self { target, reference }
-    }
-
     /// The paper's experimental setup: two identical oscillators, each carrying half of
     /// the fitted relative phase noise, at 103 MHz.
     ///
@@ -83,11 +77,6 @@ impl DifferentialCircuit {
     /// The jitter generator of the counted (target) oscillator.
     pub fn target(&self) -> &JitterGenerator {
         &self.target
-    }
-
-    /// The jitter generator of the window-defining (reference) oscillator.
-    pub fn reference(&self) -> &JitterGenerator {
-        &self.reference
     }
 
     /// The phase-noise model of the *relative* jitter seen by the counter (coefficients

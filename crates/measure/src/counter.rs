@@ -31,13 +31,13 @@ pub fn count_in_reference_windows(
             reason: "window length must be at least one reference period".to_string(),
         });
     }
-    if reference.len() < n + 1 {
+    if reference.times().len() < n + 1 {
         return Err(MeasureError::InvalidParameter {
             name: "reference",
             reason: format!(
                 "need at least {} reference edges for one window of {n} periods, got {}",
                 n + 1,
-                reference.len()
+                reference.times().len()
             ),
         });
     }

@@ -91,16 +91,6 @@ impl Sigma2NDataset {
         &self.points
     }
 
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` when the dataset has no points (never the case after construction).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// The accumulation depths as `f64`, in ascending order.
     pub fn depths(&self) -> Vec<f64> {
         self.points.iter().map(|p| p.n as f64).collect()
@@ -111,36 +101,12 @@ impl Sigma2NDataset {
         self.points.iter().map(|p| p.sigma2_n).collect()
     }
 
-    /// Per-point sample counts, usable as weights for a weighted fit.
-    pub fn sample_weights(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.samples as f64).collect()
-    }
-
     /// The points normalized as in the paper's Fig. 7: `(N, σ²_N·f0²)`.
     pub fn normalized_points(&self) -> Vec<(f64, f64)> {
         self.points
             .iter()
             .map(|p| (p.n as f64, p.sigma2_n * self.frequency * self.frequency))
             .collect()
-    }
-
-    /// Serializes the dataset to pretty-printed JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if serialization fails (it cannot for this type).
-    pub fn to_json(&self) -> Result<String> {
-        Ok(serde_json::to_string_pretty(self)?)
-    }
-
-    /// Deserializes a dataset from JSON produced by [`Sigma2NDataset::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the JSON is malformed or violates the dataset invariants.
-    pub fn from_json(json: &str) -> Result<Self> {
-        let raw: Sigma2NDataset = serde_json::from_str(json)?;
-        Self::new(raw.frequency, raw.estimator, raw.points)
     }
 }
 
@@ -173,8 +139,6 @@ mod tests {
         let ds = Sigma2NDataset::new(103.0e6, "period-domain", demo_points()).unwrap();
         let depths: Vec<usize> = ds.points().iter().map(|p| p.n).collect();
         assert_eq!(depths, vec![1, 10, 100]);
-        assert_eq!(ds.len(), 3);
-        assert!(!ds.is_empty());
         assert_eq!(ds.estimator(), "period-domain");
     }
 
@@ -183,17 +147,8 @@ mod tests {
         let ds = Sigma2NDataset::new(1.0e8, "counter", demo_points()).unwrap();
         assert_eq!(ds.depths(), vec![1.0, 10.0, 100.0]);
         assert_eq!(ds.variances().len(), 3);
-        assert_eq!(ds.sample_weights(), vec![1000.0, 800.0, 500.0]);
         let norm = ds.normalized_points();
         assert!((norm[0].1 - 1.0e-20 * 1.0e16).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let ds = Sigma2NDataset::new(103.0e6, "counter", demo_points()).unwrap();
-        let json = ds.to_json().unwrap();
-        let back = Sigma2NDataset::from_json(&json).unwrap();
-        assert_eq!(ds, back);
     }
 
     #[test]
@@ -209,13 +164,5 @@ mod tests {
         let mut dup = demo_points();
         dup[0].n = 10;
         assert!(Sigma2NDataset::new(1.0e8, "x", dup).is_err());
-    }
-
-    #[test]
-    fn from_json_revalidates() {
-        let ds = Sigma2NDataset::new(1.0e8, "counter", demo_points()).unwrap();
-        let json = ds.to_json().unwrap().replace("2e-18", "-2e-18");
-        assert!(Sigma2NDataset::from_json(&json).is_err());
-        assert!(Sigma2NDataset::from_json("not json").is_err());
     }
 }

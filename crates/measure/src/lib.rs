@@ -9,11 +9,11 @@
 //!
 //! This crate rebuilds that chain in software:
 //!
-//! * [`counter`] — the reference-windowed edge counter,
+//! * `counter` — the reference-windowed edge counter,
 //! * [`circuit`] — the two-oscillator differential measurement (Eq. 12), with an
 //!   explicit model of the ±1-count quantization floor of a hardware counter,
 //! * [`campaign`] — acquisition campaigns sweeping `N` (optionally in parallel),
-//! * [`dataset`] — the resulting `σ²_N` vs `N` datasets, serializable to JSON.
+//! * [`dataset`] — the resulting `σ²_N` vs `N` datasets.
 //!
 //! Hardware substitution: the only difference between this model and the FPGA circuit is
 //! that the oscillators are the simulated [`ptrng_osc::jitter::JitterGenerator`]s rather
@@ -47,7 +47,7 @@
 
 pub mod campaign;
 pub mod circuit;
-pub mod counter;
+mod counter;
 pub mod dataset;
 
 use thiserror::Error;
@@ -70,9 +70,6 @@ pub enum MeasureError {
     /// A statistical routine failed.
     #[error("statistics error: {0}")]
     Stats(#[from] ptrng_stats::StatsError),
-    /// Serialization of a dataset failed.
-    #[error("serialization error: {0}")]
-    Serialization(#[from] serde_json::Error),
 }
 
 /// Convenience result alias used across the crate.
@@ -94,9 +91,5 @@ mod tests {
         let stats_err = ptrng_stats::StatsError::SeriesTooShort { len: 0, needed: 1 };
         let err: MeasureError = stats_err.into();
         assert!(err.to_string().contains("statistics error"));
-
-        let json_err = serde_json::from_str::<u32>("not json").unwrap_err();
-        let err: MeasureError = json_err.into();
-        assert!(err.to_string().contains("serialization error"));
     }
 }

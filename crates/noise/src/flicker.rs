@@ -68,7 +68,7 @@ struct OverlapSave {
     taps_fft: Vec<Complex>,
     /// Scratch block, reused across calls.
     buf: Vec<Complex>,
-    /// Fresh samples produced per transform: `plan.len() - taps + 1`.
+    /// Fresh samples produced per transform: `buf.len() - taps + 1`.
     block: usize,
 }
 
@@ -146,61 +146,6 @@ impl FlickerNoise {
         Self::new(1.0, sigma_w, sample_rate, memory)
     }
 
-    /// Creates a `1/f^α` source whose one-sided PSD is `level/f^α` in the band where the
-    /// low-frequency approximation holds.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlickerNoise::new`].
-    pub fn from_psd_level(alpha: f64, level: f64, sample_rate: f64, memory: usize) -> Result<Self> {
-        let level = check_positive("level", level)?;
-        let sample_rate = check_positive("sample_rate", sample_rate)?;
-        // S(f) = σ_w²·(2/fs)·(fs/2πf)^α  ⇒  σ_w² = level·fs/2·(2π/fs)^α
-        let sigma_w2 =
-            level * sample_rate / 2.0 * (2.0 * std::f64::consts::PI / sample_rate).powf(alpha);
-        Self::new(alpha, sigma_w2.sqrt(), sample_rate, memory)
-    }
-
-    /// Spectral exponent `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Standard deviation of the driving white noise.
-    pub fn driving_std_dev(&self) -> f64 {
-        self.driving_std_dev
-    }
-
-    /// Number of FIR taps retained.
-    pub fn memory(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// One-sided PSD of the generated process at frequency `f` according to the
-    /// low-frequency approximation `σ_w²·(2/f_s)·(f_s/2πf)^α`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `f` is not strictly positive.
-    pub fn nominal_psd(&self, frequency: f64) -> Result<f64> {
-        let f = check_positive("frequency", frequency)?;
-        Ok(self.driving_std_dev
-            * self.driving_std_dev
-            * (2.0 / self.sample_rate)
-            * (self.sample_rate / (2.0 * std::f64::consts::PI * f)).powf(self.alpha))
-    }
-
-    /// The FIR taps `h_k` of the truncated fractional-integration filter.
-    pub fn taps(&self) -> &[f64] {
-        &self.taps
-    }
-
-    /// Discards the filter history, restarting the process from an all-zero state.
-    pub fn reset(&mut self) {
-        self.history.fill(0.0);
-        self.head = 0;
-    }
-
     /// Fills `out` through the scalar `O(memory)`-per-sample FIR path.
     ///
     /// This is the reference implementation the FFT block path is tested against; both
@@ -260,7 +205,7 @@ impl FlickerNoise {
                 *slot = standard_normal(rng) * self.driving_std_dev;
             }
             let engine = self.engine.as_mut().expect("built above");
-            let n = engine.plan.len();
+            let n = engine.buf.len();
             // Overlap-save input: the last `memory - 1` state innovations (oldest
             // first) followed by the fresh chunk, zero-padded to the plan length.
             for (j, slot) in engine.buf[..l - 1].iter_mut().enumerate() {
@@ -394,7 +339,7 @@ mod tests {
     #[test]
     fn taps_follow_the_kasdin_recursion() {
         let src = FlickerNoise::new(1.0, 1.0, 1.0, 6).unwrap();
-        let taps = src.taps();
+        let taps = &src.taps;
         // α = 1: h = [1, 1/2, 3/8, 5/16, 35/128, 63/256]
         let expected = [1.0, 0.5, 0.375, 0.3125, 0.2734375, 0.24609375];
         for (t, e) in taps.iter().zip(expected.iter()) {
@@ -406,7 +351,7 @@ mod tests {
     fn alpha_two_gives_a_random_walk() {
         // α = 2 makes every tap equal to 1: the output is the running sum of the input.
         let src = FlickerNoise::new(2.0, 1.0, 1.0, 16).unwrap();
-        assert!(src.taps().iter().all(|&h| (h - 1.0).abs() < 1e-12));
+        assert!(src.taps.iter().all(|&h| (h - 1.0).abs() < 1e-12));
     }
 
     #[test]
@@ -448,40 +393,19 @@ mod tests {
     }
 
     #[test]
-    fn nominal_psd_matches_from_psd_level_configuration() {
-        let src = FlickerNoise::from_psd_level(1.0, 2.0e-7, 1.0e6, 64).unwrap();
-        for f in [10.0, 1.0e3, 1.0e5] {
-            let nominal = src.nominal_psd(f).unwrap();
-            assert!(
-                (nominal - 2.0e-7 / f).abs() / (2.0e-7 / f) < 1e-9,
-                "f = {f}: {nominal}"
-            );
-        }
-    }
-
-    #[test]
     fn generated_noise_is_serially_correlated() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut src = FlickerNoise::new(1.0, 1.0, 1.0, 1024).unwrap();
         let samples = src.generate(&mut rng, 20_000);
-        let r1 = ptrng_stats::autocorr::lag1_autocorrelation(&samples).unwrap();
+        let r1 = ptrng_stats::autocorr::autocorrelation(&samples, 1)
+            .unwrap()
+            .autocorrelation[1];
         assert!(
             r1 > 0.3,
             "flicker noise must be positively correlated, r1 = {r1}"
         );
         let lb = ptrng_stats::hypothesis::ljung_box(&samples, 20, 0.01).unwrap();
         assert!(lb.rejected());
-    }
-
-    #[test]
-    fn reset_restarts_the_filter_state() {
-        let mut src = FlickerNoise::new(1.0, 1.0, 1.0, 32).unwrap();
-        let mut rng1 = StdRng::seed_from_u64(11);
-        let first = src.generate(&mut rng1, 16);
-        src.reset();
-        let mut rng2 = StdRng::seed_from_u64(11);
-        let second = src.generate(&mut rng2, 16);
-        assert_eq!(first, second);
     }
 
     #[test]
@@ -560,7 +484,7 @@ mod tests {
         let mut src = FlickerNoise::new(1.0, 1.0, 1.0, 8).unwrap();
         src.taps[3] = 0.123_456;
         let restored = FlickerNoise::from_value(&src.to_value()).unwrap();
-        assert_eq!(restored.taps(), src.taps());
+        assert_eq!(restored.taps, src.taps);
     }
 
     #[test]
@@ -571,10 +495,5 @@ mod tests {
         assert!(FlickerNoise::new(1.0, 1.0, 0.0, 16).is_err());
         assert!(FlickerNoise::new(1.0, 1.0, 1.0, 1).is_err());
         assert!(FlickerNoise::from_one_over_f_level(0.0, 1.0, 16).is_err());
-        assert!(FlickerNoise::from_psd_level(1.0, -1.0, 1.0, 16).is_err());
-        assert!(FlickerNoise::new(1.0, 1.0, 1.0, 16)
-            .unwrap()
-            .nominal_psd(0.0)
-            .is_err());
     }
 }

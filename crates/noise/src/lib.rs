@@ -12,7 +12,6 @@
 //!
 //! * [`transistor`] — the device-level PSD models above, parameterized by the physical
 //!   quantities quoted in the paper (Section III-A),
-//! * [`psd`] — an algebra of power-law PSDs `Σ_i c_i·f^{e_i}`,
 //! * [`white`] — white Gaussian noise generation with a calibrated one-sided PSD level,
 //! * [`flicker`] — streaming `1/f^α` noise via the Kasdin–Walter fractional-difference
 //!   filter, evaluated by FFT overlap-save blocks on the fast path (the scalar FIR
@@ -29,7 +28,7 @@
 //!
 //! let device = MosTransistor::typical_130nm();
 //! let thermal = device.thermal_current_psd();
-//! let flicker_at_1khz = device.flicker_current_psd(1.0e3).unwrap();
+//! let flicker_at_1khz = device.flicker_corner_coefficient() / 1.0e3;
 //! assert!(thermal > 0.0 && flicker_at_1khz > 0.0);
 //! ```
 
@@ -38,7 +37,6 @@
 
 pub mod flicker;
 pub mod ou;
-pub mod psd;
 pub mod synthesis;
 pub mod transistor;
 pub mod white;

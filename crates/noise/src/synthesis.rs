@@ -10,7 +10,6 @@ use rand::RngCore;
 
 use ptrng_stats::fft::{ifft, next_power_of_two, Complex, FftPlan};
 
-use crate::psd::PowerLawPsd;
 use crate::white::{standard_normal, GaussStream};
 use crate::{check_positive, NoiseError, Result};
 
@@ -58,7 +57,7 @@ impl SpectralSynthesizer {
         }
         let sample_rate = check_positive("sample_rate", sample_rate)?;
         let n = next_power_of_two(out.len());
-        if self.plan.as_ref().map(FftPlan::len) != Some(n) {
+        if self.spectrum.len() != n {
             self.plan = Some(FftPlan::new(n).expect("power-of-two FFT length"));
             self.spectrum = vec![Complex::zero(); n];
         }
@@ -162,37 +161,9 @@ pub fn synthesize_with(
     Ok(time.into_iter().take(len).map(|c| c.re).collect())
 }
 
-/// Generates one block of samples whose one-sided PSD follows a [`PowerLawPsd`].
-///
-/// # Errors
-///
-/// Returns the same errors as [`synthesize_with`], plus any evaluation error of the PSD
-/// (e.g. a negative-exponent PSD evaluated at a non-positive frequency, which cannot
-/// happen for the strictly positive bin frequencies used here).
-pub fn synthesize_power_law(
-    rng: &mut dyn RngCore,
-    len: usize,
-    sample_rate: f64,
-    psd: &PowerLawPsd,
-) -> Result<Vec<f64>> {
-    let mut failure: Option<NoiseError> = None;
-    let out = synthesize_with(rng, len, sample_rate, |f| match psd.evaluate(f) {
-        Ok(v) => v,
-        Err(e) => {
-            failure = Some(e);
-            f64::NAN
-        }
-    });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::psd::PowerLawTerm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -222,8 +193,7 @@ mod tests {
     fn one_over_f_squared_target_has_slope_minus_two() {
         let mut rng = StdRng::seed_from_u64(32);
         let fs = 1.0e6;
-        let psd = PowerLawPsd::from_terms(vec![PowerLawTerm::new(1.0, -2)]);
-        let samples = synthesize_power_law(&mut rng, 1 << 15, fs, &psd).unwrap();
+        let samples = synthesize_with(&mut rng, 1 << 15, fs, |f| 1.0 / (f * f)).unwrap();
         let est = welch_psd(&samples, fs, 4096, Window::Hann).unwrap();
         let (slope, _) = est.log_log_slope(fs / 500.0, fs / 10.0).unwrap();
         assert!((slope + 2.0).abs() < 0.3, "slope {slope}");
@@ -238,11 +208,8 @@ mod tests {
         let b_th = 1.0;
         let crossover = 3.0e3;
         let b_fl = b_th * crossover;
-        let psd = PowerLawPsd::from_terms(vec![
-            PowerLawTerm::new(b_th, -2),
-            PowerLawTerm::new(b_fl, -3),
-        ]);
-        let samples = synthesize_power_law(&mut rng, 1 << 16, fs, &psd).unwrap();
+        let psd = |f: f64| b_th / (f * f) + b_fl / (f * f * f);
+        let samples = synthesize_with(&mut rng, 1 << 16, fs, psd).unwrap();
         let est = welch_psd(&samples, fs, 8192, Window::Hann).unwrap();
         let (low_slope, _) = est.log_log_slope(200.0, 1.0e3).unwrap();
         let (high_slope, _) = est.log_log_slope(3.0e4, 3.0e5).unwrap();

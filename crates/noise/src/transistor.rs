@@ -10,7 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::psd::{PowerLawPsd, PowerLawTerm};
 use crate::{check_positive, Result, BOLTZMANN};
 
 /// Physical parameters of a MOS transistor relevant to its intrinsic noise.
@@ -24,7 +23,7 @@ use crate::{check_positive, Result, BOLTZMANN};
 /// let device = MosTransistor::new(300.0, 2.0e-3, 150.0e-6, 0.30e-6, 0.13e-6, 3.0e-8)?;
 /// // Thermal PSD is flat, flicker falls off as 1/f: at a high enough frequency the
 /// // thermal contribution dominates.
-/// assert!(device.thermal_current_psd() > device.flicker_current_psd(1.0e9)?);
+/// assert!(device.thermal_current_psd() > device.flicker_corner_coefficient() / 1.0e9);
 /// # Ok(())
 /// # }
 /// ```
@@ -84,63 +83,17 @@ impl MosTransistor {
         }
     }
 
-    /// A representative 65 nm-node transistor, used to illustrate the paper's remark that
-    /// technology shrinking increases the relative weight of flicker noise
-    /// (the flicker PSD scales with `1/L²`).
-    pub fn typical_65nm() -> Self {
-        Self {
-            temperature: 300.0,
-            transconductance: 1.2e-3,
-            drain_current: 90.0e-6,
-            width: 0.16e-6,
-            length: 0.065e-6,
-            flicker_alpha: 3.0e-8,
-        }
-    }
-
     /// Thermal drain-current noise PSD `(8/3)·k·T·g_m` in A²/Hz (white, frequency
     /// independent).
     pub fn thermal_current_psd(&self) -> f64 {
         (8.0 / 3.0) * BOLTZMANN * self.temperature * self.transconductance
     }
 
-    /// Flicker drain-current noise PSD `α·k·T·I_D²/(W·L²·f)` in A²/Hz at frequency `f`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `f` is zero, negative, or non-finite (the 1/f model diverges
-    /// at DC).
-    pub fn flicker_current_psd(&self, frequency: f64) -> Result<f64> {
-        let f = check_positive("frequency", frequency)?;
-        Ok(self.flicker_corner_coefficient() / f)
-    }
-
-    /// The coefficient `α·k·T·I_D²/(W·L²)` such that the flicker PSD is `coefficient/f`.
+    /// The coefficient `α·k·T·I_D²/(W·L²)` such that the flicker drain-current noise PSD
+    /// is `coefficient/f` in A²/Hz.
     pub fn flicker_corner_coefficient(&self) -> f64 {
         self.flicker_alpha * BOLTZMANN * self.temperature * self.drain_current * self.drain_current
             / (self.width * self.length * self.length)
-    }
-
-    /// Total drain-current noise PSD at frequency `f` (Eq. 1: thermal + flicker).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `f` is not strictly positive.
-    pub fn total_current_psd(&self, frequency: f64) -> Result<f64> {
-        Ok(self.thermal_current_psd() + self.flicker_current_psd(frequency)?)
-    }
-
-    /// The corner frequency at which the flicker PSD equals the thermal PSD.
-    pub fn flicker_corner_frequency(&self) -> f64 {
-        self.flicker_corner_coefficient() / self.thermal_current_psd()
-    }
-
-    /// The drain-current noise PSD as a power-law object usable by the PSD algebra.
-    pub fn current_psd(&self) -> PowerLawPsd {
-        PowerLawPsd::from_terms(vec![
-            PowerLawTerm::new(self.thermal_current_psd(), 0),
-            PowerLawTerm::new(self.flicker_corner_coefficient(), -1),
-        ])
     }
 
     /// Returns a copy with the channel length and width scaled by `factor` (< 1 shrinks
@@ -177,30 +130,8 @@ mod tests {
     fn flicker_psd_formula_and_scaling() {
         let t = MosTransistor::new(300.0, 1.0e-3, 1.0e-4, 1.0e-6, 1.0e-7, 1.0e-3).unwrap();
         let expected_at_1hz = 1.0e-3 * BOLTZMANN * 300.0 * 1.0e-8 / (1.0e-6 * 1.0e-14);
-        let got = t.flicker_current_psd(1.0).unwrap();
+        let got = t.flicker_corner_coefficient();
         assert!((got - expected_at_1hz).abs() / expected_at_1hz < 1e-12);
-        // 1/f scaling.
-        let at_10 = t.flicker_current_psd(10.0).unwrap();
-        assert!((got / at_10 - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_psd_is_sum() {
-        let t = MosTransistor::typical_130nm();
-        let f = 1.0e4;
-        let total = t.total_current_psd(f).unwrap();
-        let parts = t.thermal_current_psd() + t.flicker_current_psd(f).unwrap();
-        assert!((total - parts).abs() < 1e-30);
-    }
-
-    #[test]
-    fn corner_frequency_balances_contributions() {
-        let t = MosTransistor::typical_130nm();
-        let fc = t.flicker_corner_frequency();
-        assert!(fc > 0.0);
-        let thermal = t.thermal_current_psd();
-        let flicker = t.flicker_current_psd(fc).unwrap();
-        assert!((thermal - flicker).abs() / thermal < 1e-9);
     }
 
     #[test]
@@ -215,30 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn smaller_node_has_higher_flicker_corner() {
-        let a = MosTransistor::typical_130nm();
-        let b = MosTransistor::typical_65nm();
-        assert!(b.flicker_corner_frequency() > a.flicker_corner_frequency());
-    }
-
-    #[test]
-    fn psd_object_matches_direct_evaluation() {
-        let t = MosTransistor::typical_130nm();
-        let psd = t.current_psd();
-        for f in [1.0, 1.0e3, 1.0e6, 1.0e9] {
-            let direct = t.total_current_psd(f).unwrap();
-            let via_psd = psd.evaluate(f).unwrap();
-            assert!((direct - via_psd).abs() / direct < 1e-12, "f = {f}");
-        }
-    }
-
-    #[test]
     fn constructor_rejects_invalid_parameters() {
         assert!(MosTransistor::new(0.0, 1.0, 1.0, 1.0, 1.0, 1.0).is_err());
         assert!(MosTransistor::new(300.0, -1.0, 1.0, 1.0, 1.0, 1.0).is_err());
         assert!(MosTransistor::new(300.0, 1.0, 1.0, 1.0, f64::NAN, 1.0).is_err());
         let t = MosTransistor::typical_130nm();
-        assert!(t.flicker_current_psd(0.0).is_err());
         assert!(t.scaled_geometry(0.0).is_err());
     }
 }

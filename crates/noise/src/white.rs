@@ -2,19 +2,17 @@
 //!
 //! Thermal drain-current noise is white: its samples are independent and identically
 //! distributed.  Sampled at rate `f_s`, a discrete white process with per-sample
-//! variance `σ²` has one-sided PSD `S = 2·σ²/f_s`; the constructors below convert in
-//! both directions.
+//! variance `σ²` has one-sided PSD `S = 2·σ²/f_s`.
 
 use rand::RngCore;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
-use crate::{check_non_negative, check_positive, NoiseError, NoiseSource, Result};
+use crate::{check_non_negative, check_positive, NoiseSource, Result};
 
-/// A stationary white Gaussian noise source.
+/// A stationary, zero-mean white Gaussian noise source.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WhiteNoise {
-    mean: f64,
     std_dev: f64,
     sample_rate: f64,
 }
@@ -28,62 +26,9 @@ impl WhiteNoise {
     /// Returns an error when `std_dev` is negative or `sample_rate` is not positive.
     pub fn new(std_dev: f64, sample_rate: f64) -> Result<Self> {
         Ok(Self {
-            mean: 0.0,
             std_dev: check_non_negative("std_dev", std_dev)?,
             sample_rate: check_positive("sample_rate", sample_rate)?,
         })
-    }
-
-    /// Creates a source whose one-sided PSD equals `psd_level` (unit²/Hz) at sample rate
-    /// `sample_rate`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `psd_level` is negative or `sample_rate` is not positive.
-    pub fn from_psd(psd_level: f64, sample_rate: f64) -> Result<Self> {
-        let level = check_non_negative("psd_level", psd_level)?;
-        let fs = check_positive("sample_rate", sample_rate)?;
-        Ok(Self {
-            mean: 0.0,
-            std_dev: (level * fs / 2.0).sqrt(),
-            sample_rate: fs,
-        })
-    }
-
-    /// Returns a copy with a non-zero mean (e.g. a bias current with noise on top).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `mean` is not finite.
-    pub fn with_mean(mut self, mean: f64) -> Result<Self> {
-        if !mean.is_finite() {
-            return Err(NoiseError::InvalidParameter {
-                name: "mean",
-                reason: "must be finite".to_string(),
-            });
-        }
-        self.mean = mean;
-        Ok(self)
-    }
-
-    /// Per-sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
-    /// Per-sample variance.
-    pub fn variance(&self) -> f64 {
-        self.std_dev * self.std_dev
-    }
-
-    /// Mean of the process.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// One-sided PSD level `2·σ²/f_s` in unit²/Hz.
-    pub fn psd_level(&self) -> f64 {
-        2.0 * self.variance() / self.sample_rate
     }
 }
 
@@ -91,10 +36,9 @@ impl NoiseSource for WhiteNoise {
     #[inline]
     fn sample(&mut self, rng: &mut dyn RngCore) -> f64 {
         if self.std_dev == 0.0 {
-            return self.mean;
+            return 0.0;
         }
-        let normal =
-            Normal::new(self.mean, self.std_dev).expect("std_dev validated at construction");
+        let normal = Normal::new(0.0, self.std_dev).expect("std_dev validated at construction");
         normal.sample(&mut RngCoreAdapter(rng))
     }
 
@@ -104,12 +48,12 @@ impl NoiseSource for WhiteNoise {
     /// RNG differently while generating the same process).
     fn fill_block(&mut self, rng: &mut dyn RngCore, out: &mut [f64]) {
         if self.std_dev == 0.0 {
-            out.fill(self.mean);
+            out.fill(0.0);
             return;
         }
         fill_standard_normal(rng, out);
         for x in out {
-            *x = self.mean + self.std_dev * *x;
+            *x *= self.std_dev;
         }
     }
 
@@ -207,11 +151,6 @@ impl GaussStream {
         self.spare = Some(b);
         a
     }
-
-    /// Discards the cached variate (e.g. when re-seeding the underlying RNG).
-    pub fn reset(&mut self) {
-        self.spare = None;
-    }
 }
 
 #[cfg(test)]
@@ -223,31 +162,21 @@ mod tests {
     #[test]
     fn sample_statistics_match_configuration() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut src = WhiteNoise::new(2.5, 1.0e6)
-            .unwrap()
-            .with_mean(10.0)
-            .unwrap();
+        let mut src = WhiteNoise::new(2.5, 1.0e6).unwrap();
         let samples = src.generate(&mut rng, 100_000);
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
             / (samples.len() as f64 - 1.0);
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
+        assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 6.25).abs() / 6.25 < 0.05, "variance {var}");
-    }
-
-    #[test]
-    fn psd_level_round_trips() {
-        let src = WhiteNoise::from_psd(4.0e-12, 2.0e6).unwrap();
-        assert!((src.psd_level() - 4.0e-12).abs() / 4.0e-12 < 1e-12);
-        assert!((src.variance() - 4.0e-12 * 1.0e6).abs() < 1e-18);
-        assert_eq!(src.sample_rate(), 2.0e6);
     }
 
     #[test]
     fn measured_psd_matches_configured_level() {
         let mut rng = StdRng::seed_from_u64(2);
-        let fs = 1.0e6;
-        let mut src = WhiteNoise::from_psd(8.0e-6, fs).unwrap();
+        let fs: f64 = 1.0e6;
+        // One-sided PSD 2σ²/f_s = 8e-6 /Hz.
+        let mut src = WhiteNoise::new((8.0e-6 * fs / 2.0).sqrt(), fs).unwrap();
         let samples = src.generate(&mut rng, 1 << 15);
         let est =
             ptrng_stats::spectral::welch_psd(&samples, fs, 2048, ptrng_stats::window::Window::Hann)
@@ -262,9 +191,9 @@ mod tests {
     #[test]
     fn zero_std_dev_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut src = WhiteNoise::new(0.0, 1.0).unwrap().with_mean(7.0).unwrap();
+        let mut src = WhiteNoise::new(0.0, 1.0).unwrap();
         for _ in 0..10 {
-            assert_eq!(src.sample(&mut rng), 7.0);
+            assert_eq!(src.sample(&mut rng), 0.0);
         }
     }
 
@@ -282,22 +211,22 @@ mod tests {
     #[test]
     fn fill_block_matches_the_configured_distribution() {
         let mut rng = StdRng::seed_from_u64(21);
-        let mut src = WhiteNoise::new(2.0, 1.0).unwrap().with_mean(-3.0).unwrap();
+        let mut src = WhiteNoise::new(2.0, 1.0).unwrap();
         let mut out = vec![0.0; 100_001];
         src.fill_block(&mut rng, &mut out);
         let mean = out.iter().sum::<f64>() / out.len() as f64;
         let var = out.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (out.len() - 1) as f64;
-        assert!((mean + 3.0).abs() < 0.05, "mean {mean}");
+        assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 4.0).abs() / 4.0 < 0.05, "variance {var}");
     }
 
     #[test]
     fn fill_block_zero_std_dev_is_constant() {
         let mut rng = StdRng::seed_from_u64(22);
-        let mut src = WhiteNoise::new(0.0, 1.0).unwrap().with_mean(5.0).unwrap();
-        let mut out = vec![0.0; 9];
+        let mut src = WhiteNoise::new(0.0, 1.0).unwrap();
+        let mut out = vec![1.0; 9];
         src.fill_block(&mut rng, &mut out);
-        assert!(out.iter().all(|&x| x == 5.0));
+        assert!(out.iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -313,8 +242,6 @@ mod tests {
             let got = stream.next(&mut rng2);
             assert_eq!(got, expected, "sample {i}");
         }
-        stream.reset();
-        assert!(stream.spare.is_none());
     }
 
     #[test]
@@ -327,7 +254,9 @@ mod tests {
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.01, "variance {var}");
         // Both Box–Muller siblings are used: adjacent samples stay uncorrelated.
-        let r1 = ptrng_stats::autocorr::lag1_autocorrelation(&out).unwrap();
+        let r1 = ptrng_stats::autocorr::autocorrelation(&out, 1)
+            .unwrap()
+            .autocorrelation[1];
         assert!(r1.abs() < 0.01, "lag-1 correlation {r1}");
     }
 
@@ -335,10 +264,5 @@ mod tests {
     fn constructor_validation() {
         assert!(WhiteNoise::new(-1.0, 1.0).is_err());
         assert!(WhiteNoise::new(1.0, 0.0).is_err());
-        assert!(WhiteNoise::from_psd(-1.0, 1.0).is_err());
-        assert!(WhiteNoise::new(1.0, 1.0)
-            .unwrap()
-            .with_mean(f64::NAN)
-            .is_err());
     }
 }

@@ -80,11 +80,6 @@ impl EventKind {
     pub(crate) fn from_discriminant(d: u64) -> Option<Self> {
         Self::ALL.get(d as usize).copied()
     }
-
-    /// Parses a kebab-case code back into a kind.
-    pub fn parse(code: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|kind| kind.code() == code)
-    }
 }
 
 impl std::fmt::Display for EventKind {
@@ -102,7 +97,9 @@ impl Serialize for EventKind {
 impl Deserialize for EventKind {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
-            Value::Str(code) => EventKind::parse(code)
+            Value::Str(code) => Self::ALL
+                .into_iter()
+                .find(|kind| kind.code() == code)
                 .ok_or_else(|| DeError::custom(format!("unknown event kind `{code}`"))),
             _ => Err(DeError::custom("event kind must be a string")),
         }
@@ -135,14 +132,19 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
+        // Distinct codes, so each code names exactly one kind on the wire.
+        let codes: std::collections::HashSet<&str> =
+            EventKind::ALL.iter().map(|kind| kind.code()).collect();
+        assert_eq!(codes.len(), EventKind::ALL.len());
         for kind in EventKind::ALL {
-            assert_eq!(EventKind::parse(kind.code()), Some(kind));
+            let json = serde_json::to_string(&kind).expect("serializes");
+            assert_eq!(serde_json::from_str::<EventKind>(&json).ok(), Some(kind));
             assert_eq!(
                 EventKind::from_discriminant(kind.discriminant()),
                 Some(kind)
             );
         }
-        assert_eq!(EventKind::parse("no-such-kind"), None);
+        assert!(serde_json::from_str::<EventKind>("\"no-such-kind\"").is_err());
         assert_eq!(EventKind::from_discriminant(999), None);
     }
 

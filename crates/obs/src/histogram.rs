@@ -122,11 +122,6 @@ impl LogLinearHistogram {
         self.sum.fetch_add(clamped, Ordering::Relaxed);
     }
 
-    /// Records an elapsed [`std::time::Duration`].
-    pub fn record_duration(&self, elapsed: std::time::Duration) {
-        self.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -207,11 +202,6 @@ impl HistogramSnapshot {
     /// Sum of recorded (clamped) values, nanoseconds.
     pub fn sum_ns(&self) -> u64 {
         self.sum
-    }
-
-    /// Values clamped at [`MAX_TRACKED_NS`].
-    pub fn saturated(&self) -> u64 {
-        self.saturated
     }
 
     /// The rank-based `q`-quantile (see [`LogLinearHistogram::quantile`]).

@@ -38,11 +38,6 @@ impl Journal {
         })
     }
 
-    /// The file this journal writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one `{"event":…,"t_ns":…,"data":…}` line and flushes it.
     ///
     /// I/O errors are swallowed: the journal is diagnostics, and a full disk must

@@ -4,25 +4,24 @@
 //! crate makes the *runtime* inspectable. It is deliberately std-only and hand-rolled,
 //! in the same spirit as the rest of the workspace:
 //!
-//! * [`recorder`] — a lock-free per-shard **flight recorder**: a fixed-size ring of
-//!   recent [`event::Event`]s (batch generated, conditioning stage applied, health
-//!   verdict, audit window, tap wait, HTTP request, alarm) stamped with monotonic
-//!   nanoseconds from a shared [`recorder::ObsClock`]. Recording costs a handful of
+//! * `recorder` — a lock-free per-shard **flight recorder** ([`FlightRecorder`]): a
+//!   fixed-size ring of recent [`Event`]s (batch generated, conditioning stage applied,
+//!   health verdict, audit window, tap wait, HTTP request, alarm) stamped with
+//!   monotonic nanoseconds from a shared [`ObsClock`]. Recording costs a handful of
 //!   atomic operations.
-//! * [`histogram`] — hand-rolled HDR-style **log-linear histograms**
-//!   ([`histogram::LogLinearHistogram`]): fixed buckets, lock-free recording,
-//!   mergeable, exact rank-based quantile queries, explicit saturation at the bucket
-//!   cap.
-//! * [`encoder`] — one shared, escaping-correct **Prometheus text encoder**
-//!   ([`encoder::TextEncoder`]) used by both `ptrngd --stats` and `/metrics`,
-//!   including `_bucket`/`_sum`/`_count` rendering of the histograms above.
+//! * `histogram` — hand-rolled HDR-style **log-linear histograms**
+//!   ([`LogLinearHistogram`]): fixed buckets, lock-free recording, mergeable, exact
+//!   rank-based quantile queries, explicit saturation at the bucket cap.
+//! * `encoder` — one shared, escaping-correct **Prometheus text encoder**
+//!   ([`TextEncoder`]) used by both `ptrngd --stats` and `/metrics`, including
+//!   `_bucket`/`_sum`/`_count` rendering of the histograms above.
 //! * [`probe`] — [`probe::Probe`] glues a histogram to an optional flight recorder so
 //!   instrumented code records one duration into both with a single call.
-//! * [`postmortem`] — when a shard alarms, the worker snapshots its flight recorder
-//!   plus the current entropy ledger into a bounded [`postmortem::PostmortemStore`],
-//!   surfaced via `/healthz`, `GET /debug/trace` and the journal.
-//! * [`journal`] — an optional append-only JSONL sink ([`journal::Journal`]) behind
-//!   the `--journal <path>` flag of `ptrngd` and `ptrng-serve`.
+//! * `postmortem` — when a shard alarms, the worker snapshots its flight recorder
+//!   plus the current entropy ledger into a bounded [`PostmortemStore`], surfaced via
+//!   `/healthz`, `GET /debug/trace` and the journal.
+//! * `journal` — an optional append-only JSONL sink ([`Journal`]) behind the
+//!   `--journal <path>` flag of `ptrngd` and `ptrng-serve`.
 //!
 //! # Example
 //!
@@ -43,13 +42,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod encoder;
-pub mod event;
-pub mod histogram;
-pub mod journal;
-pub mod postmortem;
+mod encoder;
+mod event;
+mod histogram;
+mod journal;
+mod postmortem;
 pub mod probe;
-pub mod recorder;
+mod recorder;
 
 /// Convenient re-exports of the types instrumented layers actually touch.
 pub mod prelude {

@@ -104,16 +104,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The clock this recorder stamps events with.
-    pub fn clock(&self) -> ObsClock {
-        self.clock
-    }
-
-    /// Number of events the ring can hold.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Records one event, overwriting the oldest when the ring is full.
     pub fn record(&self, kind: EventKind, shard: Option<u32>, value: u64, extra: u64) {
         let t_ns = self.clock.now_ns();

@@ -46,52 +46,14 @@ impl EdgeSeries {
         Ok(Self { times })
     }
 
-    /// Builds an edge series from raw timestamps.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the timestamps are not strictly increasing or not finite.
-    pub fn from_times(times: Vec<f64>) -> Result<Self> {
-        for (i, w) in times.windows(2).enumerate() {
-            if !w[0].is_finite() || !w[1].is_finite() || w[1] <= w[0] {
-                return Err(OscError::InvalidParameter {
-                    name: "times",
-                    reason: format!("timestamps must be strictly increasing at index {i}"),
-                });
-            }
-        }
-        if times.len() == 1 && !times[0].is_finite() {
-            return Err(OscError::InvalidParameter {
-                name: "times",
-                reason: "timestamp must be finite".to_string(),
-            });
-        }
-        Ok(Self { times })
-    }
-
     /// The edge timestamps.
     pub fn times(&self) -> &[f64] {
         &self.times
     }
 
-    /// Number of edges.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Returns `true` when the series contains no edge.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
     /// Timestamp of the last edge, if any.
     pub fn last_time(&self) -> Option<f64> {
         self.times.last().copied()
-    }
-
-    /// Reconstructs the period series (adjacent differences of the timestamps).
-    pub fn to_periods(&self) -> Vec<f64> {
-        self.times.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// Number of edges with timestamp strictly before `t`.
@@ -113,11 +75,6 @@ impl EdgeSeries {
         }
         Ok(self.edges_before(end) - self.edges_before(start))
     }
-
-    /// Iterates over the edge timestamps.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.times.iter().copied()
-    }
 }
 
 #[cfg(test)]
@@ -128,12 +85,7 @@ mod tests {
     fn from_periods_accumulates() {
         let e = EdgeSeries::from_periods(1.0, &[0.5, 0.25, 0.25]).unwrap();
         assert_eq!(e.times(), &[1.0, 1.5, 1.75, 2.0]);
-        assert_eq!(e.len(), 4);
-        assert!(!e.is_empty());
         assert_eq!(e.last_time(), Some(2.0));
-        let periods = e.to_periods();
-        assert!((periods[0] - 0.5).abs() < 1e-12);
-        assert!((periods[2] - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -144,16 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn from_times_requires_monotonicity() {
-        assert!(EdgeSeries::from_times(vec![0.0, 1.0, 1.0]).is_err());
-        assert!(EdgeSeries::from_times(vec![0.0, f64::NAN]).is_err());
-        assert!(EdgeSeries::from_times(vec![0.0, 1.0, 2.0]).is_ok());
-        assert!(EdgeSeries::from_times(vec![]).is_ok());
-    }
-
-    #[test]
     fn window_counting() {
-        let e = EdgeSeries::from_times(vec![0.0, 1.0, 2.0, 3.0, 4.0]).unwrap();
+        let e = EdgeSeries::from_periods(0.0, &[1.0; 4]).unwrap();
         assert_eq!(e.edges_before(2.5), 3);
         assert_eq!(e.edges_before(0.0), 0);
         assert_eq!(e.edges_in_window(1.0, 3.0).unwrap(), 2); // edges at 1.0 and 2.0
@@ -189,7 +133,7 @@ mod tests {
                 periods in proptest::collection::vec(1e-6f64..10.0, 1..64),
             ) {
                 let e = EdgeSeries::from_periods(t0, &periods).unwrap();
-                let back = e.to_periods();
+                let back: Vec<f64> = e.times().windows(2).map(|w| w[1] - w[0]).collect();
                 prop_assert_eq!(back.len(), periods.len());
                 for (a, b) in back.iter().zip(periods.iter()) {
                     prop_assert!((a - b).abs() < 1e-9);

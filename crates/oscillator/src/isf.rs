@@ -95,11 +95,6 @@ impl IsfModel {
         Self::new(coeffs, load_capacitance, supply_voltage)
     }
 
-    /// Fourier coefficients `d_m`.
-    pub fn fourier_coefficients(&self) -> &[f64] {
-        &self.fourier_coefficients
-    }
-
     /// DC Fourier coefficient `d_0` (responsible for flicker up-conversion).
     pub fn dc_coefficient(&self) -> f64 {
         self.fourier_coefficients[0]
@@ -109,37 +104,6 @@ impl IsfModel {
     /// conversion).
     pub fn sum_squared_coefficients(&self) -> f64 {
         self.fourier_coefficients.iter().map(|d| d * d).sum()
-    }
-
-    /// Load capacitance in farads.
-    pub fn load_capacitance(&self) -> f64 {
-        self.load_capacitance
-    }
-
-    /// Supply voltage in volts.
-    pub fn supply_voltage(&self) -> f64 {
-        self.supply_voltage
-    }
-
-    /// Magnitude of the current→phase conversion gain `d_m/(2·C_L·V_DD·f)` for harmonic
-    /// `m` at offset frequency `f`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `f` is not positive or `m` exceeds the stored harmonics.
-    pub fn conversion_gain(&self, harmonic: usize, offset_frequency: f64) -> Result<f64> {
-        let f = check_positive("offset_frequency", offset_frequency)?;
-        let d =
-            self.fourier_coefficients
-                .get(harmonic)
-                .ok_or_else(|| OscError::InvalidParameter {
-                    name: "harmonic",
-                    reason: format!(
-                        "only {} coefficients are stored, requested {harmonic}",
-                        self.fourier_coefficients.len()
-                    ),
-                })?;
-        Ok(d / (2.0 * self.load_capacitance * self.supply_voltage * f))
     }
 
     /// Thermal phase-noise coefficient `b_th` produced by `n_devices` transistors whose
@@ -239,23 +203,11 @@ mod tests {
     fn coefficient_accessors() {
         let isf = demo_isf();
         assert_eq!(isf.dc_coefficient(), 0.1);
-        assert_eq!(isf.fourier_coefficients().len(), 4);
+        assert_eq!(isf.fourier_coefficients.len(), 4);
         let expected_sum = 0.01 + 1.0 + 0.25 + 0.0625;
         assert!((isf.sum_squared_coefficients() - expected_sum).abs() < 1e-12);
-        assert_eq!(isf.load_capacitance(), 20.0e-15);
-        assert_eq!(isf.supply_voltage(), 1.2);
-    }
-
-    #[test]
-    fn conversion_gain_scales_as_one_over_f() {
-        let isf = demo_isf();
-        let g1 = isf.conversion_gain(1, 1.0e3).unwrap();
-        let g2 = isf.conversion_gain(1, 2.0e3).unwrap();
-        assert!((g1 / g2 - 2.0).abs() < 1e-12);
-        let expected = 1.0 / (2.0 * 20.0e-15 * 1.2 * 1.0e3);
-        assert!((g1 - expected).abs() / expected < 1e-12);
-        assert!(isf.conversion_gain(10, 1.0e3).is_err());
-        assert!(isf.conversion_gain(1, 0.0).is_err());
+        assert_eq!(isf.load_capacitance, 20.0e-15);
+        assert_eq!(isf.supply_voltage, 1.2);
     }
 
     #[test]

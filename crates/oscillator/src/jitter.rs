@@ -198,11 +198,6 @@ impl JitterSampler {
         })
     }
 
-    /// The generator configuration this sampler runs.
-    pub fn generator(&self) -> &JitterGenerator {
-        &self.generator
-    }
-
     /// Fills `out` with consecutive realizations of the period jitter `J(t_i)` in
     /// seconds (block analogue of [`JitterGenerator::generate_period_jitter`]).
     ///
@@ -435,7 +430,7 @@ mod tests {
         let generator = JitterGenerator::new(model);
         let mut rng = StdRng::seed_from_u64(109);
         let edges = generator.generate_edges(&mut rng, 0.0, 10_000).unwrap();
-        assert_eq!(edges.len(), 10_001);
+        assert_eq!(edges.times().len(), 10_001);
         let duration = edges.last_time().unwrap();
         assert_rel(duration, 10_000.0 * model.period(), 1e-3);
     }

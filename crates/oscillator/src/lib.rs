@@ -43,7 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod edges;
-pub mod isf;
+mod isf;
 pub mod jitter;
 pub mod model;
 pub mod phase;

@@ -25,11 +25,6 @@ impl AccumulationModel {
         Self { model }
     }
 
-    /// The underlying phase-noise model.
-    pub fn phase_noise(&self) -> &PhaseNoiseModel {
-        &self.model
-    }
-
     /// Thermal contribution `σ²_{N,th} = 2·b_th/f0³·N` (linear in `N`).
     pub fn thermal_component(&self, n: usize) -> f64 {
         2.0 * self.model.b_thermal() / self.model.frequency().powi(3) * n as f64
@@ -45,12 +40,6 @@ impl AccumulationModel {
     /// Closed-form accumulated variance `σ²_N` (Eq. 11).
     pub fn sigma2_n(&self, n: usize) -> f64 {
         self.thermal_component(n) + self.flicker_component(n)
-    }
-
-    /// Accumulated variance normalized by the squared frequency, `σ²_N·f0²` — the
-    /// quantity plotted in the paper's Fig. 7.
-    pub fn sigma2_n_normalized(&self, n: usize) -> f64 {
-        self.sigma2_n(n) * self.model.frequency() * self.model.frequency()
     }
 
     /// Ratio `r_N = σ²_{N,th}/σ²_N` of the thermal contribution to the total (Sec. III-E).
@@ -252,12 +241,6 @@ mod tests {
         let sweep = acc.sweep(&[1, 10, 100]);
         assert_eq!(sweep.len(), 3);
         assert!(sweep[2].1 > sweep[1].1);
-        let f0 = acc.phase_noise().frequency();
-        assert_rel(
-            acc.sigma2_n_normalized(10),
-            acc.sigma2_n(10) * f0 * f0,
-            1e-12,
-        );
     }
 
     #[test]

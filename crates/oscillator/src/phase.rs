@@ -7,8 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use ptrng_noise::psd::{PowerLawPsd, PowerLawTerm};
-
 use crate::{check_non_negative, check_positive, OscError, Result};
 
 /// The paper's nominal oscillator frequency (103 MHz).
@@ -110,35 +108,6 @@ impl PhaseNoiseModel {
         1.0 / self.frequency
     }
 
-    /// Evaluates the (two-sided) excess-phase PSD `b_th/f² + b_fl/f³` at offset `f`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `f` is not strictly positive.
-    pub fn phase_psd(&self, frequency: f64) -> Result<f64> {
-        let f = check_positive("frequency", frequency)?;
-        Ok(self.b_thermal / (f * f) + self.b_flicker / (f * f * f))
-    }
-
-    /// The (two-sided) excess-phase PSD as a [`PowerLawPsd`].
-    pub fn phase_psd_power_law(&self) -> PowerLawPsd {
-        PowerLawPsd::from_terms(vec![
-            PowerLawTerm::new(self.b_thermal, -2),
-            PowerLawTerm::new(self.b_flicker, -3),
-        ])
-    }
-
-    /// One-sided fractional-frequency PSD `S_y(f) = 2·(b_th + b_fl/f)/f0²` — the form
-    /// consumed by the time-domain generators.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `f` is not strictly positive.
-    pub fn fractional_frequency_psd(&self, frequency: f64) -> Result<f64> {
-        let f = check_positive("frequency", frequency)?;
-        Ok(2.0 * (self.b_thermal + self.b_flicker / f) / (self.frequency * self.frequency))
-    }
-
     /// Variance of a single period jitter realization caused by thermal noise alone:
     /// `σ² = b_th/f0³` (Section IV-A of the paper).
     pub fn thermal_period_jitter_variance(&self) -> f64 {
@@ -227,30 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn psd_evaluation_matches_terms() {
-        let m = PhaseNoiseModel::new(10.0, 1000.0, 1.0e8).unwrap();
-        let f = 1.0e3;
-        assert_rel(m.phase_psd(f).unwrap(), 10.0 / 1e6 + 1000.0 / 1e9, 1e-12);
-        let power_law = m.phase_psd_power_law();
-        assert_rel(
-            power_law.evaluate(f).unwrap(),
-            m.phase_psd(f).unwrap(),
-            1e-12,
-        );
-    }
-
-    #[test]
-    fn fractional_frequency_psd_relation() {
-        // S_y(f) = (f²/f0²)·Sφ,one-sided(f) = (f²/f0²)·2·Sφ(f).
-        let m = PhaseNoiseModel::new(5.0, 50.0, 2.0e8).unwrap();
-        for f in [10.0, 1.0e3, 1.0e6] {
-            let direct = m.fractional_frequency_psd(f).unwrap();
-            let via_phase = 2.0 * m.phase_psd(f).unwrap() * f * f / (2.0e8f64).powi(2);
-            assert_rel(direct, via_phase, 1e-12);
-        }
-    }
-
-    #[test]
     fn from_sigma_n_coefficients_inverts_the_closed_form() {
         let original = PhaseNoiseModel::date14_experiment();
         let f0 = original.frequency();
@@ -304,9 +249,6 @@ mod tests {
         assert!(PhaseNoiseModel::new(1.0, -1.0, 1.0e8).is_err());
         assert!(PhaseNoiseModel::new(1.0, 1.0, 0.0).is_err());
         assert!(PhaseNoiseModel::new(1.0, 1.0, f64::NAN).is_err());
-        let m = PhaseNoiseModel::date14_experiment();
-        assert!(m.phase_psd(0.0).is_err());
-        assert!(m.fractional_frequency_psd(-1.0).is_err());
         assert!(PhaseNoiseModel::from_sigma_n_coefficients(-1.0, 0.0, 1.0e8).is_err());
     }
 }

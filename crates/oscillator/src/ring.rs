@@ -2,9 +2,10 @@
 //!
 //! A classical ring oscillator is a loop of an odd number of inverters; its nominal
 //! frequency is `f0 = 1/(2·stages·t_stage)`.  [`RingOscillator`] ties the structural
-//! description (number of stages, stage delay, electrical node parameters) to the
-//! transistor noise model and the ISF conversion, producing the [`PhaseNoiseModel`] used
-//! by the rest of the workspace — the "multilevel" chain of the paper.
+//! description (number of stages, stage delay, transistor; every node has a 20 fF load
+//! at a 1.2 V supply) to the transistor noise model and the ISF conversion, producing
+//! the [`PhaseNoiseModel`] used by the rest of the workspace — the "multilevel" chain of
+//! the paper.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,42 +18,40 @@ use crate::{check_positive, OscError, Result};
 /// Number of noise-contributing transistors per inverter stage (NMOS + PMOS).
 const TRANSISTORS_PER_STAGE: usize = 2;
 
+/// Effective load capacitance of every node, in farads.
+const NODE_LOAD_CAPACITANCE: f64 = 20.0e-15;
+
+/// Supply voltage, in volts.
+const SUPPLY_VOLTAGE: f64 = 1.2;
+
+/// ISF harmonics kept per node.
+const ISF_HARMONICS: usize = 16;
+
+/// Waveform asymmetry: the DC coefficient of the ISF.
+const ISF_ASYMMETRY: f64 = 0.15;
+
 /// Structural and electrical description of a classical ring oscillator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RingOscillator {
     stages: usize,
     stage_delay: f64,
     device: MosTransistor,
-    load_capacitance: f64,
-    supply_voltage: f64,
-    isf_harmonics: usize,
-    isf_asymmetry: f64,
 }
 
 /// Builder for [`RingOscillator`] (see C-BUILDER).
 #[derive(Debug, Clone)]
 pub struct RingOscillatorBuilder {
     stages: usize,
-    stage_delay: Option<f64>,
-    frequency: Option<f64>,
+    frequency: f64,
     device: MosTransistor,
-    load_capacitance: f64,
-    supply_voltage: f64,
-    isf_harmonics: usize,
-    isf_asymmetry: f64,
 }
 
 impl Default for RingOscillatorBuilder {
     fn default() -> Self {
         Self {
             stages: 3,
-            stage_delay: None,
-            frequency: Some(103.0e6),
+            frequency: 103.0e6,
             device: MosTransistor::typical_130nm(),
-            load_capacitance: 20.0e-15,
-            supply_voltage: 1.2,
-            isf_harmonics: 16,
-            isf_asymmetry: 0.15,
         }
     }
 }
@@ -69,17 +68,9 @@ impl RingOscillatorBuilder {
         self
     }
 
-    /// Sets the per-stage propagation delay in seconds (overrides `frequency`).
-    pub fn stage_delay(mut self, delay: f64) -> Self {
-        self.stage_delay = Some(delay);
-        self.frequency = None;
-        self
-    }
-
     /// Sets the target oscillation frequency in hertz (the stage delay is derived).
     pub fn frequency(mut self, frequency: f64) -> Self {
-        self.frequency = Some(frequency);
-        self.stage_delay = None;
+        self.frequency = frequency;
         self
     }
 
@@ -89,31 +80,12 @@ impl RingOscillatorBuilder {
         self
     }
 
-    /// Sets the effective load capacitance per node in farads.
-    pub fn load_capacitance(mut self, cl: f64) -> Self {
-        self.load_capacitance = cl;
-        self
-    }
-
-    /// Sets the supply voltage in volts.
-    pub fn supply_voltage(mut self, vdd: f64) -> Self {
-        self.supply_voltage = vdd;
-        self
-    }
-
-    /// Sets the number of ISF harmonics and the waveform asymmetry (DC ISF coefficient).
-    pub fn isf(mut self, harmonics: usize, asymmetry: f64) -> Self {
-        self.isf_harmonics = harmonics;
-        self.isf_asymmetry = asymmetry;
-        self
-    }
-
     /// Builds the oscillator.
     ///
     /// # Errors
     ///
-    /// Returns an error when the stage count is even or zero, no timing information is
-    /// available, or any electrical parameter is invalid.
+    /// Returns an error when the stage count is even or zero, or the frequency is not
+    /// positive.
     pub fn build(self) -> Result<RingOscillator> {
         if self.stages == 0 || self.stages.is_multiple_of(2) {
             return Err(OscError::InvalidParameter {
@@ -124,27 +96,11 @@ impl RingOscillatorBuilder {
                 ),
             });
         }
-        let stage_delay = match (self.stage_delay, self.frequency) {
-            (Some(d), _) => check_positive("stage_delay", d)?,
-            (None, Some(f)) => {
-                let f = check_positive("frequency", f)?;
-                1.0 / (2.0 * self.stages as f64 * f)
-            }
-            (None, None) => {
-                return Err(OscError::InvalidParameter {
-                    name: "stage_delay/frequency",
-                    reason: "either a stage delay or a target frequency is required".to_string(),
-                })
-            }
-        };
+        let frequency = check_positive("frequency", self.frequency)?;
         Ok(RingOscillator {
             stages: self.stages,
-            stage_delay,
+            stage_delay: 1.0 / (2.0 * self.stages as f64 * frequency),
             device: self.device,
-            load_capacitance: check_positive("load_capacitance", self.load_capacitance)?,
-            supply_voltage: check_positive("supply_voltage", self.supply_voltage)?,
-            isf_harmonics: self.isf_harmonics.max(1),
-            isf_asymmetry: self.isf_asymmetry,
         })
     }
 }
@@ -155,37 +111,9 @@ impl RingOscillator {
         RingOscillatorBuilder::new()
     }
 
-    /// The paper's experimental oscillator: a ring tuned to 103 MHz implemented in a
-    /// 130 nm-class technology.
-    pub fn date14_experiment() -> Self {
-        RingOscillatorBuilder::default()
-            .build()
-            .expect("default builder parameters are valid")
-    }
-
-    /// Number of inverter stages.
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Per-stage propagation delay in seconds.
-    pub fn stage_delay(&self) -> f64 {
-        self.stage_delay
-    }
-
     /// Nominal oscillation frequency `1/(2·stages·t_stage)` in hertz.
     pub fn frequency(&self) -> f64 {
         1.0 / (2.0 * self.stages as f64 * self.stage_delay)
-    }
-
-    /// Nominal period in seconds.
-    pub fn period(&self) -> f64 {
-        2.0 * self.stages as f64 * self.stage_delay
-    }
-
-    /// The transistor model shared by every stage.
-    pub fn device(&self) -> &MosTransistor {
-        &self.device
     }
 
     /// Number of noise-contributing transistors in the ring.
@@ -197,14 +125,14 @@ impl RingOscillator {
     ///
     /// # Errors
     ///
-    /// Returns an error when the stored electrical parameters are invalid (cannot happen
-    /// for a value built through [`RingOscillatorBuilder`]).
+    /// Returns an error when the node parameters are invalid, which the constants of
+    /// this module never are.
     pub fn isf(&self) -> Result<IsfModel> {
         IsfModel::ring_oscillator(
-            self.isf_harmonics,
-            self.isf_asymmetry,
-            self.load_capacitance,
-            self.supply_voltage,
+            ISF_HARMONICS,
+            ISF_ASYMMETRY,
+            NODE_LOAD_CAPACITANCE,
+            SUPPLY_VOLTAGE,
         )
     }
 
@@ -228,12 +156,12 @@ mod tests {
     fn frequency_and_period_follow_stage_delay() {
         let osc = RingOscillator::builder()
             .stages(5)
-            .stage_delay(1.0e-9)
+            .frequency(1.0e8)
             .build()
             .unwrap();
+        assert!((osc.stage_delay - 1.0e-9).abs() < 1e-21);
         assert!((osc.frequency() - 1.0e8).abs() < 1.0);
-        assert!((osc.period() - 1.0e-8).abs() < 1e-20);
-        assert_eq!(osc.stages(), 5);
+        assert_eq!(osc.stages, 5);
         assert_eq!(osc.transistor_count(), 10);
     }
 
@@ -245,12 +173,12 @@ mod tests {
             .build()
             .unwrap();
         assert!((osc.frequency() - 103.0e6).abs() / 103.0e6 < 1e-12);
-        assert!((osc.stage_delay() - 1.0 / (6.0 * 103.0e6)).abs() < 1e-18);
+        assert!((osc.stage_delay - 1.0 / (6.0 * 103.0e6)).abs() < 1e-18);
     }
 
     #[test]
     fn date14_default_is_103_mhz() {
-        let osc = RingOscillator::date14_experiment();
+        let osc = RingOscillator::builder().build().unwrap();
         assert!((osc.frequency() - 103.0e6).abs() / 103.0e6 < 1e-12);
     }
 
@@ -262,14 +190,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_electrical_parameters() {
-        assert!(RingOscillator::builder().stage_delay(0.0).build().is_err());
         assert!(RingOscillator::builder().frequency(-1.0).build().is_err());
+        assert!(RingOscillator::builder().frequency(0.0).build().is_err());
         assert!(RingOscillator::builder()
-            .load_capacitance(0.0)
-            .build()
-            .is_err());
-        assert!(RingOscillator::builder()
-            .supply_voltage(0.0)
+            .frequency(f64::NAN)
             .build()
             .is_err());
     }
@@ -294,21 +218,21 @@ mod tests {
 
     #[test]
     fn isf_reflects_configuration() {
-        let osc = RingOscillator::builder().isf(8, 0.3).build().unwrap();
+        let osc = RingOscillator::builder().build().unwrap();
         let isf = osc.isf().unwrap();
-        assert_eq!(isf.fourier_coefficients().len(), 9);
-        assert_eq!(isf.dc_coefficient(), 0.3);
+        assert_eq!(isf.dc_coefficient(), ISF_ASYMMETRY);
     }
 
     #[test]
     fn shrunk_technology_increases_flicker_share() {
+        let device = MosTransistor::typical_130nm();
         let older = RingOscillator::builder()
-            .device(MosTransistor::typical_130nm())
+            .device(device)
             .frequency(1.0e8)
             .build()
             .unwrap();
         let newer = RingOscillator::builder()
-            .device(MosTransistor::typical_65nm())
+            .device(device.scaled_geometry(0.5).unwrap())
             .frequency(1.0e8)
             .build()
             .unwrap();

@@ -10,8 +10,8 @@
 //!
 //! Everything is hand-rolled on `std::net` (the build environment has no registry
 //! access): [`http`] is a bounded HTTP/1.1 request parser and response/chunked-body
-//! writer, [`limiter`] a per-client token bucket denominated in entropy bytes plus a
-//! per-IP concurrent-connection gate, [`metrics`] the Prometheus text exposition,
+//! writer, `limiter` a per-client token bucket denominated in entropy bytes plus a
+//! per-IP concurrent-connection gate, `metrics` the Prometheus text exposition,
 //! [`server`] a nonblocking `poll(2)` event loop (per-connection state machines,
 //! slow-loris/idle deadlines) feeding a worker pool for blocking draws, with
 //! graceful SIGTERM shutdown, [`loadgen`] the concurrency load-test harness behind
@@ -69,9 +69,9 @@ pub mod cli;
 mod conn;
 mod event;
 pub mod http;
-pub mod limiter;
+mod limiter;
 pub mod loadgen;
-pub mod metrics;
+mod metrics;
 pub mod server;
 
 use thiserror::Error;

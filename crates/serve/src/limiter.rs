@@ -82,7 +82,8 @@ impl RateLimiter {
 
     /// Number of client buckets currently tracked (bounded by eviction of
     /// refilled-to-full idle buckets once the map reaches its cap).
-    pub fn tracked_clients(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_clients(&self) -> usize {
         self.buckets.lock().expect("limiter lock poisoned").len()
     }
 }
@@ -137,7 +138,8 @@ impl ConnectionGate {
     }
 
     /// Connections currently registered for `client`.
-    pub fn active(&self, client: IpAddr) -> usize {
+    #[cfg(test)]
+    fn active(&self, client: IpAddr) -> usize {
         self.counts
             .lock()
             .expect("gate lock poisoned")

@@ -31,7 +31,7 @@
 //! * **Time-domain defenses** — a head must arrive whole within the header
 //!   deadline (slow-loris), responses must keep making write progress
 //!   (stalled readers), idle keep-alive connections are reaped on the idle
-//!   deadline, and per-IP concurrency is capped by the [`ConnectionGate`]
+//!   deadline, and per-IP concurrency is capped by the `ConnectionGate`
 //!   underneath the byte-denominated [`RateLimiter`].
 //! * **Entropy policy is the contract** — the accounted ledger travels in the
 //!   `X-PTRNG-MinEntropy` / `X-PTRNG-Ledger` response headers; a configuration whose

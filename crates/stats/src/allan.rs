@@ -1,70 +1,12 @@
-//! Allan-family variances for oscillator stability analysis.
+//! The overlapping Allan variance, for oscillator stability analysis.
 //!
 //! The paper's statistic `σ²_N` is closely related to the two-sample (Allan) variance:
 //! Allan (1966) introduced it precisely because the ordinary variance of an oscillator's
-//! frequency fluctuations diverges in the presence of flicker noise.  These estimators
-//! operate on either
-//!
-//! * a **fractional-frequency** series `y_k` (average normalized frequency deviation over
-//!   consecutive intervals of `tau0` seconds), or
-//! * a **phase (time-error)** series `x_k` in seconds, with `y_k = (x_{k+1} - x_k)/tau0`.
-
-use serde::{Deserialize, Serialize};
+//! frequency fluctuations diverges in the presence of flicker noise.  The estimator here
+//! operates on a **phase (time-error)** series `x_k` in seconds, whose fractional
+//! frequencies are `y_k = (x_{k+1} - x_k)/tau0`.
 
 use crate::{ensure_finite, Result, StatsError};
-
-/// One point of an Allan-variance sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AllanPoint {
-    /// Averaging factor `m` (the averaging time is `m·tau0`).
-    pub m: usize,
-    /// Averaging time in seconds.
-    pub tau: f64,
-    /// Estimated (Allan or Hadamard) variance.
-    pub variance: f64,
-    /// Number of terms averaged in the estimator.
-    pub terms: usize,
-}
-
-/// Converts a phase/time-error series `x_k` (seconds) into fractional frequencies
-/// `y_k = (x_{k+1} - x_k) / tau0`.
-///
-/// # Errors
-///
-/// Returns an error when the series has fewer than two samples, contains non-finite
-/// values, or `tau0 <= 0`.
-pub fn phase_to_frequency(phase: &[f64], tau0: f64) -> Result<Vec<f64>> {
-    ensure_finite(phase)?;
-    if phase.len() < 2 {
-        return Err(StatsError::SeriesTooShort {
-            len: phase.len(),
-            needed: 2,
-        });
-    }
-    check_tau0(tau0)?;
-    Ok(phase.windows(2).map(|w| (w[1] - w[0]) / tau0).collect())
-}
-
-/// Converts a fractional-frequency series into a phase/time-error series (starting at 0).
-///
-/// # Errors
-///
-/// Returns an error when the series is empty, contains non-finite values, or `tau0 <= 0`.
-pub fn frequency_to_phase(freq: &[f64], tau0: f64) -> Result<Vec<f64>> {
-    ensure_finite(freq)?;
-    if freq.is_empty() {
-        return Err(StatsError::SeriesTooShort { len: 0, needed: 1 });
-    }
-    check_tau0(tau0)?;
-    let mut phase = Vec::with_capacity(freq.len() + 1);
-    phase.push(0.0);
-    let mut acc = 0.0;
-    for &y in freq {
-        acc += y * tau0;
-        phase.push(acc);
-    }
-    Ok(phase)
-}
 
 fn check_tau0(tau0: f64) -> Result<()> {
     if tau0 <= 0.0 || !tau0.is_finite() {
@@ -84,32 +26,6 @@ fn check_m(m: usize) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// Non-overlapping Allan variance of a fractional-frequency series at averaging factor
-/// `m` (averaging time `m·tau0`).
-///
-/// # Errors
-///
-/// Returns an error when fewer than `2m` frequency samples are available.
-pub fn allan_variance(freq: &[f64], m: usize) -> Result<f64> {
-    ensure_finite(freq)?;
-    check_m(m)?;
-    let averages: Vec<f64> = freq
-        .chunks_exact(m)
-        .map(|c| c.iter().sum::<f64>() / m as f64)
-        .collect();
-    if averages.len() < 2 {
-        return Err(StatsError::SeriesTooShort {
-            len: freq.len(),
-            needed: 2 * m,
-        });
-    }
-    let sum: f64 = averages
-        .windows(2)
-        .map(|w| (w[1] - w[0]) * (w[1] - w[0]))
-        .sum();
-    Ok(sum / (2.0 * (averages.len() - 1) as f64))
 }
 
 /// Overlapping Allan variance computed from a phase series `x_k` (seconds).
@@ -142,106 +58,21 @@ pub fn overlapping_allan_variance(phase: &[f64], tau0: f64, m: usize) -> Result<
     Ok(sum / (2.0 * tau * tau * terms as f64))
 }
 
-/// Modified Allan variance computed from a phase series.
-///
-/// `Mod σ²_y(m·tau0)` additionally averages the phase over windows of `m` samples, which
-/// lets it distinguish white phase noise from flicker phase noise.
-///
-/// # Errors
-///
-/// Returns an error when fewer than `3m` phase samples are available or `tau0 <= 0`.
-pub fn modified_allan_variance(phase: &[f64], tau0: f64, m: usize) -> Result<f64> {
-    ensure_finite(phase)?;
-    check_tau0(tau0)?;
-    check_m(m)?;
-    if phase.len() < 3 * m {
-        return Err(StatsError::SeriesTooShort {
-            len: phase.len(),
-            needed: 3 * m,
-        });
-    }
-    let tau = m as f64 * tau0;
-    let outer_terms = phase.len() - 3 * m + 1;
-    let mut sum = 0.0;
-    for j in 0..outer_terms {
-        let mut inner = 0.0;
-        for i in j..j + m {
-            inner += phase[i + 2 * m] - 2.0 * phase[i + m] + phase[i];
-        }
-        inner /= m as f64;
-        sum += inner * inner;
-    }
-    Ok(sum / (2.0 * tau * tau * outer_terms as f64))
-}
-
-/// Overlapping Hadamard variance computed from a phase series (three-sample variance,
-/// insensitive to linear frequency drift).
-///
-/// # Errors
-///
-/// Returns an error when fewer than `3m + 1` phase samples are available or `tau0 <= 0`.
-pub fn hadamard_variance(phase: &[f64], tau0: f64, m: usize) -> Result<f64> {
-    ensure_finite(phase)?;
-    check_tau0(tau0)?;
-    check_m(m)?;
-    if phase.len() < 3 * m + 1 {
-        return Err(StatsError::SeriesTooShort {
-            len: phase.len(),
-            needed: 3 * m + 1,
-        });
-    }
-    let tau = m as f64 * tau0;
-    let terms = phase.len() - 3 * m;
-    let sum: f64 = (0..terms)
-        .map(|i| {
-            let d = phase[i + 3 * m] - 3.0 * phase[i + 2 * m] + 3.0 * phase[i + m] - phase[i];
-            d * d
-        })
-        .sum();
-    Ok(sum / (6.0 * tau * tau * terms as f64))
-}
-
-/// Sweeps the overlapping Allan variance over a list of averaging factors, skipping the
-/// factors that do not fit in the record.
-///
-/// # Errors
-///
-/// Returns an error when no factor fits, the list is empty, or inputs are invalid.
-pub fn allan_sweep(phase: &[f64], tau0: f64, ms: &[usize]) -> Result<Vec<AllanPoint>> {
-    if ms.is_empty() {
-        return Err(StatsError::InvalidParameter {
-            name: "ms",
-            reason: "at least one averaging factor is required".to_string(),
-        });
-    }
-    let mut out = Vec::new();
-    for &m in ms {
-        check_m(m)?;
-        if phase.len() < 2 * m + 1 {
-            continue;
-        }
-        let variance = overlapping_allan_variance(phase, tau0, m)?;
-        out.push(AllanPoint {
-            m,
-            tau: m as f64 * tau0,
-            variance,
-            terms: phase.len() - 2 * m,
-        });
-    }
-    if out.is_empty() {
-        return Err(StatsError::SeriesTooShort {
-            len: phase.len(),
-            needed: 2 * ms.iter().copied().min().unwrap_or(1) + 1,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The phase series (starting at 0) whose fractional frequencies are `freq`.
+    fn integrate(freq: &[f64], tau0: f64) -> Vec<f64> {
+        std::iter::once(0.0)
+            .chain(freq.iter().scan(0.0, |acc, &y| {
+                *acc += y * tau0;
+                Some(*acc)
+            }))
+            .collect()
+    }
 
     fn white_fm_phase(len: usize, sigma_y: f64, tau0: f64, seed: u64) -> Vec<f64> {
         // White frequency noise: y_k i.i.d. N(0, sigma_y²); x_k is the running integral.
@@ -253,17 +84,7 @@ mod tests {
                 sigma_y * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
             })
             .collect();
-        frequency_to_phase(&freq, tau0).unwrap()
-    }
-
-    #[test]
-    fn phase_frequency_roundtrip() {
-        let freq = vec![1e-6, -2e-6, 3e-6, 0.5e-6];
-        let phase = frequency_to_phase(&freq, 0.25).unwrap();
-        let back = phase_to_frequency(&phase, 0.25).unwrap();
-        for (a, b) in freq.iter().zip(back.iter()) {
-            assert!((a - b).abs() < 1e-15);
-        }
+        integrate(&freq, tau0)
     }
 
     #[test]
@@ -281,62 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn non_overlapping_matches_overlapping_at_m1() {
-        let tau0 = 1.0;
-        let phase = white_fm_phase(10_000, 1e-6, tau0, 3);
-        let freq = phase_to_frequency(&phase, tau0).unwrap();
-        let a = allan_variance(&freq, 1).unwrap();
-        let b = overlapping_allan_variance(&phase, tau0, 1).unwrap();
-        assert!((a - b).abs() / b < 0.02, "{a} vs {b}");
-    }
-
-    #[test]
-    fn hadamard_ignores_linear_frequency_drift() {
-        // Pure linear frequency drift: y_k = c·k  →  Hadamard variance ≈ 0,
-        // while the Allan variance does not vanish.
-        let tau0 = 1.0;
-        let freq: Vec<f64> = (0..10_000).map(|k| 1e-9 * k as f64).collect();
-        let phase = frequency_to_phase(&freq, tau0).unwrap();
-        let h = hadamard_variance(&phase, tau0, 10).unwrap();
-        let a = overlapping_allan_variance(&phase, tau0, 10).unwrap();
-        assert!(h < 1e-25, "hadamard {h}");
-        assert!(a > 1e-18, "allan {a}");
-    }
-
-    #[test]
-    fn modified_allan_equals_allan_at_m1() {
-        let tau0 = 1.0;
-        let phase = white_fm_phase(5_000, 1e-6, tau0, 9);
-        let a = overlapping_allan_variance(&phase, tau0, 1).unwrap();
-        let m = modified_allan_variance(&phase, tau0, 1).unwrap();
-        // At m = 1 the two estimators differ only in the number of terms (M-2 vs M-2).
-        assert!((a - m).abs() / a < 0.01, "{a} vs {m}");
-    }
-
-    #[test]
-    fn allan_sweep_skips_oversized_factors() {
-        let tau0 = 1.0;
-        let phase = white_fm_phase(100, 1e-6, tau0, 1);
-        let points = allan_sweep(&phase, tau0, &[1, 4, 16, 64]).unwrap();
-        let ms: Vec<usize> = points.iter().map(|p| p.m).collect();
-        assert_eq!(ms, vec![1, 4, 16]);
-        for p in &points {
-            assert!(p.variance >= 0.0);
-            assert_eq!(p.tau, p.m as f64 * tau0);
-        }
-    }
-
-    #[test]
     fn error_paths() {
-        assert!(allan_variance(&[1.0], 1).is_err());
-        assert!(allan_variance(&[1.0, 2.0], 0).is_err());
         assert!(overlapping_allan_variance(&[1.0, 2.0], 1.0, 1).is_err());
         assert!(overlapping_allan_variance(&[1.0, 2.0, 3.0], 0.0, 1).is_err());
-        assert!(modified_allan_variance(&[1.0, 2.0], 1.0, 1).is_err());
-        assert!(hadamard_variance(&[1.0, 2.0, 3.0], 1.0, 1).is_err());
-        assert!(allan_sweep(&[1.0, 2.0, 3.0], 1.0, &[]).is_err());
-        assert!(phase_to_frequency(&[1.0], 1.0).is_err());
-        assert!(frequency_to_phase(&[], 1.0).is_err());
+        assert!(overlapping_allan_variance(&[1.0, 2.0, 3.0], 1.0, 0).is_err());
     }
 
     mod property {
@@ -349,11 +118,9 @@ mod tests {
                 freq in proptest::collection::vec(-1e-6f64..1e-6, 32..128),
                 m in 1usize..8,
             ) {
-                let phase = frequency_to_phase(&freq, 1.0).unwrap();
+                let phase = integrate(&freq, 1.0);
                 prop_assume!(phase.len() > 3 * m);
                 prop_assert!(overlapping_allan_variance(&phase, 1.0, m).unwrap() >= 0.0);
-                prop_assert!(modified_allan_variance(&phase, 1.0, m).unwrap() >= 0.0);
-                prop_assert!(hadamard_variance(&phase, 1.0, m).unwrap() >= 0.0);
             }
 
             #[test]
@@ -362,7 +129,7 @@ mod tests {
                 m in 1usize..5,
             ) {
                 let freq = vec![offset; 64];
-                let phase = frequency_to_phase(&freq, 1.0).unwrap();
+                let phase = integrate(&freq, 1.0);
                 let v = overlapping_allan_variance(&phase, 1.0, m).unwrap();
                 prop_assert!(v.abs() < 1e-20);
             }

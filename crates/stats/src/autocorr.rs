@@ -21,30 +21,6 @@ pub struct Autocorrelation {
     pub samples: usize,
 }
 
-impl Autocorrelation {
-    /// Largest lag contained in the estimate.
-    pub fn max_lag(&self) -> usize {
-        self.autocovariance.len().saturating_sub(1)
-    }
-
-    /// Approximate 95 % confidence band (±1.96/√n) for the hypothesis that the series is
-    /// white; autocorrelations outside the band are individually significant.
-    pub fn white_noise_band(&self) -> f64 {
-        1.96 / (self.samples as f64).sqrt()
-    }
-
-    /// Number of lags in `1..=max_lag` whose autocorrelation falls outside the white-noise
-    /// confidence band.
-    pub fn significant_lags(&self) -> usize {
-        let band = self.white_noise_band();
-        self.autocorrelation
-            .iter()
-            .skip(1)
-            .filter(|r| r.abs() > band)
-            .count()
-    }
-}
-
 /// Estimates the autocovariance and autocorrelation of a series up to `max_lag`.
 ///
 /// Uses the FFT-based Wiener–Khinchin route for long series and the direct sum for short
@@ -104,15 +80,6 @@ fn direct_autocovariance(series: &[f64], max_lag: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Lag-1 autocorrelation, a quick scalar diagnostic of serial dependence.
-///
-/// # Errors
-///
-/// Propagates the errors of [`autocorrelation`].
-pub fn lag1_autocorrelation(series: &[f64]) -> Result<f64> {
-    Ok(autocorrelation(series, 1)?.autocorrelation[1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,8 +120,6 @@ mod tests {
         for lag in 1..=50 {
             assert!(ac.autocorrelation[lag].abs() < 0.05, "lag {lag}");
         }
-        // At most a few lags should exceed the 95 % band by chance.
-        assert!(ac.significant_lags() <= 6);
     }
 
     #[test]
@@ -164,10 +129,12 @@ mod tests {
             .windows(4)
             .map(|w| w.iter().sum::<f64>() / 4.0)
             .collect();
-        let r1 = lag1_autocorrelation(&smoothed).unwrap();
-        assert!(r1 > 0.5, "lag-1 autocorrelation {r1}");
         let ac = autocorrelation(&smoothed, 10).unwrap();
-        assert!(ac.significant_lags() >= 3);
+        let r1 = ac.autocorrelation[1];
+        assert!(r1 > 0.5, "lag-1 autocorrelation {r1}");
+        // The 4-term moving average correlates lags 1–3 beyond the white-noise band.
+        let band = 1.96 / (ac.samples as f64).sqrt();
+        assert!(ac.autocorrelation[1..=3].iter().all(|r| *r > band));
     }
 
     #[test]
@@ -175,7 +142,7 @@ mod tests {
         let series: Vec<f64> = (0..1000)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let r1 = lag1_autocorrelation(&series).unwrap();
+        let r1 = autocorrelation(&series, 1).unwrap().autocorrelation[1];
         assert!((r1 + 1.0).abs() < 0.01, "lag-1 autocorrelation {r1}");
     }
 

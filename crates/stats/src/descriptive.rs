@@ -1,205 +1,6 @@
-//! Descriptive statistics: streaming moments (Welford), slice helpers.
-//!
-//! The [`RunningStats`] accumulator is used by acquisition campaigns in `ptrng-measure`
-//! to compute `σ²_N` without storing every realization of `s_N`.
+//! Descriptive statistics: the unbiased sample variance of a slice.
 
-use serde::{Deserialize, Serialize};
-
-use crate::{ensure_finite, ensure_len, Result, StatsError};
-
-/// Streaming estimator of mean, variance, skewness and kurtosis (Welford / Pébay update).
-///
-/// # Example
-///
-/// ```
-/// use ptrng_stats::descriptive::RunningStats;
-///
-/// let mut acc = RunningStats::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] {
-///     acc.push(x);
-/// }
-/// assert_eq!(acc.count(), 4);
-/// assert!((acc.mean() - 2.5).abs() < 1e-12);
-/// assert!((acc.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    m3: f64,
-    m4: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            m3: 0.0,
-            m4: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        let n1 = self.count as f64;
-        self.count += 1;
-        let n = self.count as f64;
-        let delta = x - self.mean;
-        let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
-        let term1 = delta * delta_n * n1;
-        self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
-        self.m2 += term1;
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Adds every observation of an iterator.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel reduction support).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n_a = self.count as f64;
-        let n_b = other.count as f64;
-        let n = n_a + n_b;
-        let delta = other.mean - self.mean;
-        let delta2 = delta * delta;
-        let delta3 = delta2 * delta;
-        let delta4 = delta2 * delta2;
-
-        let mean = self.mean + delta * n_b / n;
-        let m2 = self.m2 + other.m2 + delta2 * n_a * n_b / n;
-        let m3 = self.m3
-            + other.m3
-            + delta3 * n_a * n_b * (n_a - n_b) / (n * n)
-            + 3.0 * delta * (n_a * other.m2 - n_b * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta4 * n_a * n_b * (n_a * n_a - n_a * n_b + n_b * n_b) / (n * n * n)
-            + 6.0 * delta2 * (n_a * n_a * other.m2 + n_b * n_b * self.m2) / (n * n)
-            + 4.0 * delta * (n_a * other.m3 - n_b * self.m3) / n;
-
-        self.count += other.count;
-        self.mean = mean;
-        self.m2 = m2;
-        self.m3 = m3;
-        self.m4 = m4;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations pushed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (divides by `n`; 0 if fewer than 1 observation).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Unbiased sample variance (divides by `n - 1`; 0 if fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count as f64 - 1.0)
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Sample skewness (0 if fewer than 3 observations or zero variance).
-    pub fn skewness(&self) -> f64 {
-        if self.count < 3 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        (n.sqrt() * self.m3) / self.m2.powf(1.5)
-    }
-
-    /// Excess kurtosis (0 if fewer than 4 observations or zero variance).
-    pub fn excess_kurtosis(&self) -> f64 {
-        if self.count < 4 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        n * self.m4 / (self.m2 * self.m2) - 3.0
-    }
-
-    /// Smallest observation seen (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation seen (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-impl FromIterator<f64> for RunningStats {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut acc = RunningStats::new();
-        acc.extend(iter);
-        acc
-    }
-}
-
-impl Extend<f64> for RunningStats {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        RunningStats::extend(self, iter);
-    }
-}
-
-/// Arithmetic mean of a slice.
-///
-/// # Errors
-///
-/// Returns an error for an empty slice or non-finite samples.
-pub fn mean(series: &[f64]) -> Result<f64> {
-    ensure_len(series, 1)?;
-    ensure_finite(series)?;
-    Ok(series.iter().sum::<f64>() / series.len() as f64)
-}
+use crate::{ensure_finite, ensure_len, Result};
 
 /// Unbiased sample variance of a slice (normalized by `n - 1`).
 ///
@@ -214,204 +15,20 @@ pub fn sample_variance(series: &[f64]) -> Result<f64> {
     Ok(ss / (series.len() as f64 - 1.0))
 }
 
-/// Population variance of a slice (normalized by `n`).
-///
-/// # Errors
-///
-/// Returns an error for an empty slice or non-finite samples.
-pub fn population_variance(series: &[f64]) -> Result<f64> {
-    ensure_len(series, 1)?;
-    ensure_finite(series)?;
-    let m = series.iter().sum::<f64>() / series.len() as f64;
-    let ss: f64 = series.iter().map(|x| (x - m) * (x - m)).sum();
-    Ok(ss / series.len() as f64)
-}
-
-/// Sample standard deviation of a slice.
-///
-/// # Errors
-///
-/// Propagates the errors of [`sample_variance`].
-pub fn sample_std_dev(series: &[f64]) -> Result<f64> {
-    Ok(sample_variance(series)?.sqrt())
-}
-
-/// Root-mean-square value of a slice.
-///
-/// # Errors
-///
-/// Returns an error for an empty slice or non-finite samples.
-pub fn rms(series: &[f64]) -> Result<f64> {
-    ensure_len(series, 1)?;
-    ensure_finite(series)?;
-    let ms: f64 = series.iter().map(|x| x * x).sum::<f64>() / series.len() as f64;
-    Ok(ms.sqrt())
-}
-
-/// Minimum and maximum of a slice.
-///
-/// # Errors
-///
-/// Returns an error for an empty slice or non-finite samples.
-pub fn min_max(series: &[f64]) -> Result<(f64, f64)> {
-    ensure_len(series, 1)?;
-    ensure_finite(series)?;
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &x in series {
-        if x < lo {
-            lo = x;
-        }
-        if x > hi {
-            hi = x;
-        }
-    }
-    Ok((lo, hi))
-}
-
-/// Median of a slice (average of the two central order statistics for even lengths).
-///
-/// # Errors
-///
-/// Returns an error for an empty slice or non-finite samples.
-pub fn median(series: &[f64]) -> Result<f64> {
-    ensure_len(series, 1)?;
-    ensure_finite(series)?;
-    let mut sorted = series.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples are comparable"));
-    let n = sorted.len();
-    if n % 2 == 1 {
-        Ok(sorted[n / 2])
-    } else {
-        Ok(0.5 * (sorted[n / 2 - 1] + sorted[n / 2]))
-    }
-}
-
-/// Quantile of a slice using linear interpolation between order statistics.
-///
-/// `q` must lie in `[0, 1]`.
-///
-/// # Errors
-///
-/// Returns an error for an empty slice, non-finite samples, or `q` outside `[0, 1]`.
-pub fn quantile(series: &[f64], q: f64) -> Result<f64> {
-    ensure_len(series, 1)?;
-    ensure_finite(series)?;
-    if !(0.0..=1.0).contains(&q) {
-        return Err(StatsError::InvalidParameter {
-            name: "q",
-            reason: format!("{q} is outside [0, 1]"),
-        });
-    }
-    let mut sorted = series.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples are comparable"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Ok(sorted[lo])
-    } else {
-        let w = pos - lo as f64;
-        Ok(sorted[lo] * (1.0 - w) + sorted[hi] * w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn assert_close(a: f64, b: f64, tol: f64) {
-        assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
-    }
-
-    #[test]
-    fn running_stats_matches_slice_functions() {
-        let data = [1.0, 4.0, 9.0, 16.0, 25.0, 36.0];
-        let acc: RunningStats = data.iter().copied().collect();
-        assert_close(acc.mean(), mean(&data).unwrap(), 1e-12);
-        assert_close(acc.sample_variance(), sample_variance(&data).unwrap(), 1e-9);
-        assert_close(acc.min(), 1.0, 0.0);
-        assert_close(acc.max(), 36.0, 0.0);
-    }
-
-    #[test]
-    fn running_stats_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 3.0 + 1.0).collect();
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        a.extend(data[..40].iter().copied());
-        b.extend(data[40..].iter().copied());
-        a.merge(&b);
-        let full: RunningStats = data.iter().copied().collect();
-        assert_eq!(a.count(), full.count());
-        assert_close(a.mean(), full.mean(), 1e-10);
-        assert_close(a.sample_variance(), full.sample_variance(), 1e-8);
-        assert_close(a.skewness(), full.skewness(), 1e-6);
-        assert_close(a.excess_kurtosis(), full.excess_kurtosis(), 1e-6);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let data = [2.0, 4.0, 6.0];
-        let mut acc: RunningStats = data.iter().copied().collect();
-        let before = acc;
-        acc.merge(&RunningStats::new());
-        assert_eq!(acc, before);
-
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn skewness_of_symmetric_data_is_zero() {
-        let data = [-2.0, -1.0, 0.0, 1.0, 2.0];
-        let acc: RunningStats = data.iter().copied().collect();
-        assert_close(acc.skewness(), 0.0, 1e-12);
-    }
-
-    #[test]
-    fn kurtosis_of_two_point_distribution() {
-        // A symmetric two-point distribution has excess kurtosis -2.
-        let data = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-        let acc: RunningStats = data.iter().copied().collect();
-        assert_close(acc.excess_kurtosis(), -2.0, 1e-12);
-    }
-
-    #[test]
-    fn median_odd_and_even() {
-        assert_close(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0, 0.0);
-        assert_close(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5, 0.0);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let data = [0.0, 1.0, 2.0, 3.0, 4.0];
-        assert_close(quantile(&data, 0.0).unwrap(), 0.0, 0.0);
-        assert_close(quantile(&data, 1.0).unwrap(), 4.0, 0.0);
-        assert_close(quantile(&data, 0.5).unwrap(), 2.0, 0.0);
-        assert_close(quantile(&data, 0.25).unwrap(), 1.0, 0.0);
-    }
-
-    #[test]
-    fn quantile_rejects_out_of_range() {
-        assert!(quantile(&[1.0], 1.5).is_err());
-    }
-
     #[test]
     fn variance_requires_two_samples() {
         assert!(sample_variance(&[1.0]).is_err());
-        assert!(population_variance(&[1.0]).is_ok());
-    }
-
-    #[test]
-    fn rms_of_constant() {
-        assert_close(rms(&[3.0, 3.0, 3.0]).unwrap(), 3.0, 1e-12);
+        let v = sample_variance(&[1.0, 4.0, 9.0, 16.0, 25.0, 36.0]).unwrap();
+        assert!((v - 178.966_666_666_666_67).abs() < 1e-9, "{v}");
     }
 
     #[test]
     fn rejects_non_finite() {
-        assert!(mean(&[1.0, f64::NAN]).is_err());
+        assert!(sample_variance(&[1.0, f64::NAN]).is_err());
         assert!(sample_variance(&[1.0, f64::INFINITY]).is_err());
     }
 }

@@ -56,11 +56,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Magnitude.
-    pub fn abs(self) -> f64 {
-        self.norm_sqr().sqrt()
-    }
-
     /// Multiplies by a real scalar.
     pub fn scale(self, k: f64) -> Self {
         Self {
@@ -185,16 +180,6 @@ impl FftPlan {
         Ok(Self { n, twiddles })
     }
 
-    /// Planned transform length.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Returns `true` for the degenerate length-1 plan.
-    pub fn is_empty(&self) -> bool {
-        self.n <= 1
-    }
-
     fn transform(&self, buf: &mut [Complex], inverse: bool) {
         debug_assert_eq!(buf.len(), self.n);
         bit_reverse_permute(buf);
@@ -298,26 +283,6 @@ pub fn ifft(input: &[Complex]) -> Result<Vec<Complex>> {
     Ok(buf)
 }
 
-/// Forward transform of a real signal, zero-padded to the next power of two.
-///
-/// Returns the full complex spectrum of length `next_power_of_two(input.len())`.
-///
-/// # Errors
-///
-/// Returns an error when the input is empty.
-pub fn fft_real(input: &[f64]) -> Result<Vec<Complex>> {
-    if input.is_empty() {
-        return Err(StatsError::SeriesTooShort { len: 0, needed: 1 });
-    }
-    let n = next_power_of_two(input.len());
-    let mut buf = vec![Complex::zero(); n];
-    for (i, &x) in input.iter().enumerate() {
-        buf[i] = Complex::from_real(x);
-    }
-    fft_in_place(&mut buf, false);
-    Ok(buf)
-}
-
 /// Circular autocovariance of a real signal computed via the Wiener–Khinchin theorem
 /// (FFT of the signal, squared magnitude, inverse FFT).  The mean is removed first and
 /// the signal is zero-padded to at least twice its length so the estimate is linear
@@ -383,7 +348,7 @@ mod tests {
         let spec = fft(&x).unwrap();
         assert_close(spec[0].re, 40.0, 1e-9);
         for c in &spec[1..] {
-            assert!(c.abs() < 1e-9);
+            assert!(c.norm_sqr().sqrt() < 1e-9);
         }
     }
 
@@ -399,7 +364,7 @@ mod tests {
             })
             .collect();
         let spec = fft(&x).unwrap();
-        let mags: Vec<f64> = spec.iter().map(|c| c.abs()).collect();
+        let mags: Vec<f64> = spec.iter().map(|c| c.norm_sqr().sqrt()).collect();
         // Energy concentrated in bins k0 and n-k0.
         assert!(mags[k0] > 30.0);
         assert!(mags[n - k0] > 30.0);
@@ -439,13 +404,6 @@ mod tests {
         let x = vec![Complex::zero(); 12];
         assert!(fft(&x).is_err());
         assert!(ifft(&x).is_err());
-    }
-
-    #[test]
-    fn fft_real_pads_to_power_of_two() {
-        let spec = fft_real(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(spec.len(), 4);
-        assert!(fft_real(&[]).is_err());
     }
 
     #[test]
@@ -498,8 +456,7 @@ mod tests {
     fn plan_validates_lengths() {
         assert!(FftPlan::new(12).is_err());
         let plan = FftPlan::new(8).unwrap();
-        assert_eq!(plan.len(), 8);
-        assert!(!plan.is_empty());
+        assert_eq!(plan.n, 8);
         let mut wrong = vec![Complex::zero(); 4];
         assert!(plan.forward(&mut wrong).is_err());
         assert!(plan.inverse(&mut wrong).is_err());

@@ -1,6 +1,6 @@
 //! Least-squares fitting.
 //!
-//! Besides generic linear/polynomial fits, this module provides the fit at the heart of
+//! Besides generic linear and basis-function fits, this module provides the fit at the heart of
 //! the paper's Section IV: `σ²_N = a·N + b·N²` (no intercept), from which the thermal and
 //! flicker phase-noise coefficients are recovered as `a = 2·b_th/f0³` and
 //! `b = 8·ln2·b_fl/f0⁴`.
@@ -22,26 +22,6 @@ pub struct LinearFit {
     pub residual_variance: f64,
 }
 
-/// Result of a polynomial fit `y = Σ_k c_k·x^k`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PolynomialFit {
-    /// Coefficients ordered by increasing power (`c_0` first).
-    pub coefficients: Vec<f64>,
-    /// Coefficient of determination R².
-    pub r_squared: f64,
-}
-
-impl PolynomialFit {
-    /// Evaluates the fitted polynomial at `x`.
-    pub fn evaluate(&self, x: f64) -> f64 {
-        let mut acc = 0.0;
-        for &c in self.coefficients.iter().rev() {
-            acc = acc * x + c;
-        }
-        acc
-    }
-}
-
 /// Result of the paper's two-parameter fit `σ²_N = a·N + b·N²`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SigmaNFit {
@@ -51,24 +31,6 @@ pub struct SigmaNFit {
     pub quadratic: f64,
     /// Coefficient of determination R².
     pub r_squared: f64,
-}
-
-impl SigmaNFit {
-    /// Evaluates the fitted model at accumulation depth `n`.
-    pub fn evaluate(&self, n: f64) -> f64 {
-        self.linear * n + self.quadratic * n * n
-    }
-
-    /// Depth at which the quadratic (flicker) term equals the linear (thermal) term.
-    ///
-    /// Returns `None` when the quadratic coefficient is not positive (pure thermal fit).
-    pub fn crossover_depth(&self) -> Option<f64> {
-        if self.quadratic > 0.0 && self.linear > 0.0 {
-            Some(self.linear / self.quadratic)
-        } else {
-            None
-        }
-    }
 }
 
 fn validate_xy(x: &[f64], y: &[f64], min_len: usize) -> Result<()> {
@@ -257,28 +219,6 @@ pub fn basis_fit(
     solve_linear_system(ata, atb)
 }
 
-/// Polynomial least-squares fit of the given `degree` (number of coefficients is
-/// `degree + 1`).
-///
-/// # Errors
-///
-/// Returns an error for fewer than `degree + 1` points or a singular system.
-pub fn polynomial_fit(x: &[f64], y: &[f64], degree: usize) -> Result<PolynomialFit> {
-    let coefficients = basis_fit(x, y, None, degree + 1, |i, v| v.powi(i as i32))?;
-    let coeffs = coefficients.clone();
-    let r2 = r_squared(y, |i| {
-        let mut acc = 0.0;
-        for &c in coeffs.iter().rev() {
-            acc = acc * x[i] + c;
-        }
-        acc
-    });
-    Ok(PolynomialFit {
-        coefficients,
-        r_squared: r2,
-    })
-}
-
 /// The paper's fit `σ²_N = a·N + b·N²` (no intercept term).
 ///
 /// `ns` are the accumulation depths and `sigma2` the measured variances.  An optional
@@ -393,18 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn polynomial_fit_recovers_quadratic() {
-        let x: Vec<f64> = (0..30).map(|i| i as f64 * 0.5).collect();
-        let y: Vec<f64> = x.iter().map(|v| 1.0 - 2.0 * v + 0.5 * v * v).collect();
-        let fit = polynomial_fit(&x, &y, 2).unwrap();
-        assert_close(fit.coefficients[0], 1.0, 1e-8);
-        assert_close(fit.coefficients[1], -2.0, 1e-8);
-        assert_close(fit.coefficients[2], 0.5, 1e-9);
-        assert_close(fit.evaluate(4.0), 1.0 - 8.0 + 8.0, 1e-7);
-        assert_close(fit.r_squared, 1.0, 1e-12);
-    }
-
-    #[test]
     fn sigma_n_fit_recovers_paper_shape() {
         // Use the paper's fitted values: σ²_N·f0² = 5.36e-6·N + quadratic term with
         // crossover at N = 5354.
@@ -415,8 +343,7 @@ mod tests {
         let fit = sigma_n_fit(&ns, &sigma2, None).unwrap();
         assert_close(fit.linear, a, a * 1e-6);
         assert_close(fit.quadratic, b, b * 1e-6);
-        assert_close(fit.crossover_depth().unwrap(), 5354.0, 0.5);
-        assert_close(fit.evaluate(100.0), a * 100.0 + b * 1e4, 1e-12);
+        assert_close(fit.linear / fit.quadratic, 5354.0, 0.5);
     }
 
     #[test]
@@ -426,7 +353,6 @@ mod tests {
         let fit = sigma_n_fit(&ns, &sigma2, None).unwrap();
         assert_close(fit.linear, 2.0, 1e-9);
         assert!(fit.quadratic.abs() < 1e-9);
-        assert!(fit.crossover_depth().is_none());
     }
 
     #[test]
@@ -436,7 +362,7 @@ mod tests {
         let sigma2 = vec![2.0, 4.0, 6.0, 20.0, 40.0, 60.0];
         let w_first = vec![1e6, 1e6, 1e6, 1e-6, 1e-6, 1e-6];
         let fit = sigma_n_fit(&ns, &sigma2, Some(&w_first)).unwrap();
-        assert_close(fit.evaluate(1.0), 2.0, 1e-3);
+        assert_close(fit.linear + fit.quadratic, 2.0, 1e-3);
     }
 
     #[test]

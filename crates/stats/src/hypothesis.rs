@@ -1,16 +1,13 @@
 //! Hypothesis tests used to corroborate (or refute) independence and distributional
 //! assumptions about jitter series.
 //!
-//! * [`chi_squared_gof`] — goodness-of-fit against expected bin counts,
-//! * [`ks_test_normal`] / [`ks_test_uniform`] — Kolmogorov–Smirnov distribution tests,
+//! * [`ks_test_normal`] — Kolmogorov–Smirnov test against a normal distribution,
 //! * [`ljung_box`] — portmanteau test for serial correlation (the classical counterpart
-//!   of the paper's Bienaymé-based dependence argument),
-//! * [`runs_test`] — Wald–Wolfowitz runs test around the median.
+//!   of the paper's Bienaymé-based dependence argument).
 
 use serde::{Deserialize, Serialize};
 
 use crate::autocorr::autocorrelation;
-use crate::histogram::EmpiricalCdf;
 use crate::special::{chi_squared_sf, kolmogorov_sf, normal_cdf};
 use crate::{ensure_finite, ensure_len, Result, StatsError};
 
@@ -39,58 +36,6 @@ impl TestOutcome {
     }
 }
 
-/// χ² goodness-of-fit test of observed counts against expected counts.
-///
-/// `ddof` is the number of model parameters estimated from the data (subtracted from the
-/// degrees of freedom in addition to the usual 1).
-///
-/// # Errors
-///
-/// Returns an error when the inputs are mismatched, fewer than two bins are provided, an
-/// expected count is not strictly positive, or the degrees of freedom vanish.
-pub fn chi_squared_gof(
-    observed: &[f64],
-    expected: &[f64],
-    ddof: usize,
-    alpha: f64,
-) -> Result<TestOutcome> {
-    ensure_finite(observed)?;
-    ensure_finite(expected)?;
-    if observed.len() != expected.len() {
-        return Err(StatsError::InvalidParameter {
-            name: "observed/expected",
-            reason: format!("length mismatch: {} vs {}", observed.len(), expected.len()),
-        });
-    }
-    ensure_len(observed, 2)?;
-    check_alpha(alpha)?;
-    if expected.iter().any(|&e| e <= 0.0) {
-        return Err(StatsError::InvalidParameter {
-            name: "expected",
-            reason: "expected counts must be strictly positive".to_string(),
-        });
-    }
-    let dof = observed.len().saturating_sub(1 + ddof);
-    if dof == 0 {
-        return Err(StatsError::InvalidParameter {
-            name: "ddof",
-            reason: "degrees of freedom reduced to zero".to_string(),
-        });
-    }
-    let statistic: f64 = observed
-        .iter()
-        .zip(expected.iter())
-        .map(|(o, e)| (o - e) * (o - e) / e)
-        .sum();
-    let p_value = chi_squared_sf(statistic, dof)?;
-    Ok(TestOutcome {
-        name: "chi-squared goodness-of-fit".to_string(),
-        statistic,
-        p_value,
-        alpha,
-    })
-}
-
 /// Kolmogorov–Smirnov test of a sample against the normal distribution with the given
 /// mean and standard deviation.
 ///
@@ -110,24 +55,6 @@ pub fn ks_test_normal(sample: &[f64], mean: f64, std_dev: f64, alpha: f64) -> Re
     })
 }
 
-/// Kolmogorov–Smirnov test of a sample against the uniform distribution on `[lo, hi]`.
-///
-/// # Errors
-///
-/// Returns an error for samples with fewer than 8 points, non-finite values, `hi <= lo`,
-/// or an invalid `alpha`.
-pub fn ks_test_uniform(sample: &[f64], lo: f64, hi: f64, alpha: f64) -> Result<TestOutcome> {
-    if hi <= lo || !lo.is_finite() || !hi.is_finite() {
-        return Err(StatsError::InvalidParameter {
-            name: "lo/hi",
-            reason: "need finite lo < hi".to_string(),
-        });
-    }
-    ks_test(sample, alpha, "kolmogorov-smirnov (uniform)", |x| {
-        ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
-    })
-}
-
 fn ks_test(
     sample: &[f64],
     alpha: f64,
@@ -137,10 +64,11 @@ fn ks_test(
     ensure_len(sample, 8)?;
     ensure_finite(sample)?;
     check_alpha(alpha)?;
-    let ecdf = EmpiricalCdf::new(sample)?;
+    let mut sorted = sample.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples are comparable"));
     let n = sample.len() as f64;
     let mut d: f64 = 0.0;
-    for (i, &x) in ecdf.sorted_samples().iter().enumerate() {
+    for (i, &x) in sorted.iter().enumerate() {
         let model = cdf(x);
         let above = (i as f64 + 1.0) / n - model;
         let below = model - i as f64 / n;
@@ -194,54 +122,6 @@ pub fn ljung_box(series: &[f64], lags: usize, alpha: f64) -> Result<TestOutcome>
     })
 }
 
-/// Wald–Wolfowitz runs test around the median.
-///
-/// The null hypothesis is that the sequence of above/below-median indicators is random
-/// (no clustering, no alternation); the statistic is asymptotically standard normal.
-///
-/// # Errors
-///
-/// Returns an error for series with fewer than 20 samples, non-finite samples, a series
-/// whose samples are all on one side of the median, or an invalid `alpha`.
-pub fn runs_test(series: &[f64], alpha: f64) -> Result<TestOutcome> {
-    ensure_len(series, 20)?;
-    ensure_finite(series)?;
-    check_alpha(alpha)?;
-    let med = crate::descriptive::median(series)?;
-    // Samples equal to the median are dropped, as is conventional.
-    let signs: Vec<bool> = series
-        .iter()
-        .filter(|&&x| x != med)
-        .map(|&x| x > med)
-        .collect();
-    let n_plus = signs.iter().filter(|&&s| s).count() as f64;
-    let n_minus = signs.len() as f64 - n_plus;
-    if n_plus == 0.0 || n_minus == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "series",
-            reason: "all samples fall on one side of the median".to_string(),
-        });
-    }
-    let runs = 1 + signs.windows(2).filter(|w| w[0] != w[1]).count();
-    let n = n_plus + n_minus;
-    let expected = 2.0 * n_plus * n_minus / n + 1.0;
-    let variance = 2.0 * n_plus * n_minus * (2.0 * n_plus * n_minus - n) / (n * n * (n - 1.0));
-    if variance <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "series",
-            reason: "degenerate runs-test variance".to_string(),
-        });
-    }
-    let z = (runs as f64 - expected) / variance.sqrt();
-    let p_value = 2.0 * crate::special::normal_sf(z.abs());
-    Ok(TestOutcome {
-        name: "wald-wolfowitz runs".to_string(),
-        statistic: z,
-        p_value,
-        alpha,
-    })
-}
-
 fn check_alpha(alpha: f64) -> Result<()> {
     if !(alpha > 0.0 && alpha < 1.0) {
         return Err(StatsError::InvalidParameter {
@@ -270,32 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn chi_squared_gof_accepts_matching_counts() {
-        let observed = vec![98.0, 102.0, 100.0, 100.0];
-        let expected = vec![100.0; 4];
-        let outcome = chi_squared_gof(&observed, &expected, 0, 0.05).unwrap();
-        assert!(outcome.passed());
-        assert!(outcome.statistic < 1.0);
-    }
-
-    #[test]
-    fn chi_squared_gof_rejects_skewed_counts() {
-        let observed = vec![200.0, 50.0, 50.0, 100.0];
-        let expected = vec![100.0; 4];
-        let outcome = chi_squared_gof(&observed, &expected, 0, 0.05).unwrap();
-        assert!(outcome.rejected());
-    }
-
-    #[test]
-    fn chi_squared_gof_validates_inputs() {
-        assert!(chi_squared_gof(&[1.0], &[1.0], 0, 0.05).is_err());
-        assert!(chi_squared_gof(&[1.0, 2.0], &[1.0], 0, 0.05).is_err());
-        assert!(chi_squared_gof(&[1.0, 2.0], &[1.0, 0.0], 0, 0.05).is_err());
-        assert!(chi_squared_gof(&[1.0, 2.0], &[1.0, 2.0], 1, 0.05).is_err());
-        assert!(chi_squared_gof(&[1.0, 2.0], &[1.0, 2.0], 0, 1.5).is_err());
-    }
-
-    #[test]
     fn ks_normal_accepts_gaussian_sample() {
         let sample = gaussian(2000, 1);
         let outcome = ks_test_normal(&sample, 0.0, 1.0, 0.01).unwrap();
@@ -311,18 +165,9 @@ mod tests {
     }
 
     #[test]
-    fn ks_uniform_accepts_uniform_sample() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let sample: Vec<f64> = (0..2000).map(|_| rng.gen_range(0.0..1.0)).collect();
-        let outcome = ks_test_uniform(&sample, 0.0, 1.0, 0.01).unwrap();
-        assert!(outcome.passed(), "p = {}", outcome.p_value);
-    }
-
-    #[test]
     fn ks_validates_inputs() {
         assert!(ks_test_normal(&[1.0; 4], 0.0, 1.0, 0.05).is_err());
         assert!(ks_test_normal(&gaussian(100, 5), 0.0, 0.0, 0.05).is_err());
-        assert!(ks_test_uniform(&gaussian(100, 5), 1.0, 1.0, 0.05).is_err());
     }
 
     #[test]
@@ -344,38 +189,6 @@ mod tests {
     fn ljung_box_validates_inputs() {
         assert!(ljung_box(&gaussian(10, 1), 0, 0.05).is_err());
         assert!(ljung_box(&gaussian(10, 1), 20, 0.05).is_err());
-    }
-
-    #[test]
-    fn runs_test_accepts_random_sequence() {
-        let sample = gaussian(2000, 13);
-        let outcome = runs_test(&sample, 0.01).unwrap();
-        assert!(outcome.passed(), "p = {}", outcome.p_value);
-    }
-
-    #[test]
-    fn runs_test_rejects_monotone_ramp() {
-        let sample: Vec<f64> = (0..500).map(|i| i as f64).collect();
-        let outcome = runs_test(&sample, 0.01).unwrap();
-        assert!(outcome.rejected());
-        assert!(outcome.statistic < 0.0, "too few runs gives a negative z");
-    }
-
-    #[test]
-    fn runs_test_rejects_alternating_sequence() {
-        let sample: Vec<f64> = (0..500)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let outcome = runs_test(&sample, 0.01).unwrap();
-        assert!(outcome.rejected());
-        assert!(outcome.statistic > 0.0, "too many runs gives a positive z");
-    }
-
-    #[test]
-    fn runs_test_validates_inputs() {
-        assert!(runs_test(&[1.0; 10], 0.05).is_err());
-        let constant = vec![5.0; 50];
-        assert!(runs_test(&constant, 0.05).is_err());
     }
 
     #[test]

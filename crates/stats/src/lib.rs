@@ -6,15 +6,15 @@
 //!
 //! * [`sn`] — the paper's accumulation statistic `s_N` (difference of two adjacent
 //!   accumulations of `N` oscillator periods) and its variance `σ²_N`,
-//! * [`allan`] — Allan, overlapping Allan, modified Allan and Hadamard variances,
-//! * [`fft`] / [`spectral`] — radix-2 FFT, periodogram and Welch PSD estimators,
+//! * [`allan`] — the overlapping Allan variance,
+//! * [`fft`] / [`spectral`] — radix-2 FFT and Welch's PSD estimator,
 //! * [`fit`] — least-squares fitting, including the paper's `σ²_N = a·N + b·N²` fit,
 //! * [`autocorr`] — autocovariance / autocorrelation estimation,
-//! * [`hypothesis`] — χ², Kolmogorov–Smirnov, Ljung–Box and runs tests,
+//! * [`hypothesis`] — Kolmogorov–Smirnov and Ljung–Box tests,
 //! * [`minentropy`] — min-entropy ↔ bias conversions for binary sources (the algebra
 //!   the conditioning-pipeline entropy ledger is written in),
-//! * [`descriptive`], [`variance`], [`histogram`], [`special`], [`window`], [`seed`] —
-//!   supporting numerical building blocks.
+//! * [`descriptive`], [`special`], [`window`], [`seed`] — supporting numerical building
+//!   blocks.
 //!
 //! # Example
 //!
@@ -42,14 +42,12 @@ pub mod autocorr;
 pub mod descriptive;
 pub mod fft;
 pub mod fit;
-pub mod histogram;
 pub mod hypothesis;
 pub mod minentropy;
 pub mod seed;
 pub mod sn;
 pub mod special;
 pub mod spectral;
-pub mod variance;
 pub mod window;
 
 use thiserror::Error;

@@ -54,31 +54,16 @@ impl SnSampling {
     }
 }
 
-/// Computes the series of `s_N` realizations from a period-jitter series.
-///
-/// The jitter series may equivalently be a series of raw periods `T(t_i)`: the statistic
-/// uses ±1 weights that sum to zero, so any constant offset (the nominal period `1/f0`)
-/// cancels exactly.
+/// The series of `s_N` realizations of a period-jitter series, one window per `stride`:
+/// the materialized form of the statistic, which the windowed reference sweep reduces
+/// with a two-pass variance.
 ///
 /// # Errors
 ///
 /// Returns an error when `n == 0`, when the series is shorter than `2N`, or when the
 /// series contains non-finite samples.
-///
-/// # Example
-///
-/// ```
-/// use ptrng_stats::sn::{sn_series, SnSampling};
-///
-/// # fn main() -> Result<(), ptrng_stats::StatsError> {
-/// let jitter = [1.0, 2.0, 3.0, 4.0];
-/// // N = 1: s_1(t_i) = J(t_{i+1}) - J(t_i)
-/// let s = sn_series(&jitter, 1, SnSampling::Overlapping)?;
-/// assert_eq!(s, vec![1.0, 1.0, 1.0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn sn_series(jitter: &[f64], n: usize, sampling: SnSampling) -> Result<Vec<f64>> {
+#[cfg(test)]
+fn sn_series(jitter: &[f64], n: usize, sampling: SnSampling) -> Result<Vec<f64>> {
     if n == 0 {
         return Err(StatsError::InvalidParameter {
             name: "n",
@@ -449,20 +434,6 @@ pub fn log_spaced_depths(min_n: usize, max_n: usize, count: usize) -> Result<Vec
     Ok(out)
 }
 
-/// Adjacent differences of a series: `x[i+1] - x[i]`.
-///
-/// This is the operation the paper's measurement circuit applies to successive counter
-/// values `Q_i^N` (Eq. 12) to obtain `s_N` up to a `1/f0` scale.
-///
-/// # Errors
-///
-/// Returns an error when the series has fewer than two samples or non-finite values.
-pub fn adjacent_differences(series: &[f64]) -> Result<Vec<f64>> {
-    ensure_finite(series)?;
-    ensure_len(series, 2)?;
-    Ok(series.windows(2).map(|w| w[1] - w[0]).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,13 +633,6 @@ mod tests {
         assert!(log_spaced_depths(0, 10, 5).is_err());
         assert!(log_spaced_depths(10, 5, 5).is_err());
         assert!(log_spaced_depths(1, 10, 0).is_err());
-    }
-
-    #[test]
-    fn adjacent_differences_basic() {
-        let d = adjacent_differences(&[1.0, 4.0, 9.0]).unwrap();
-        assert_eq!(d, vec![3.0, 5.0]);
-        assert!(adjacent_differences(&[1.0]).is_err());
     }
 
     mod property {

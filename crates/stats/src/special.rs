@@ -1,16 +1,10 @@
-//! Special functions needed by the hypothesis tests: error function, log-gamma,
-//! regularized incomplete gamma, normal and chi-squared distribution functions.
+//! Special functions needed by the hypothesis tests: complementary error function,
+//! log-gamma, regularized incomplete gamma, normal and chi-squared distribution functions.
 //!
 //! Implementations follow the classical Numerical-Recipes-style series/continued-fraction
 //! expansions; accuracy (≈1e-10 relative) is far beyond what the statistical tests need.
 
 use crate::{Result, StatsError};
-
-/// Error function `erf(x)`, accurate to about 1.2e-7 (Abramowitz & Stegun 7.1.26 with the
-/// higher-accuracy rational refinement used by Numerical Recipes `erfc`).
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
 
 /// Complementary error function `erfc(x)`.
 pub fn erfc(x: f64) -> f64 {
@@ -36,16 +30,6 @@ pub fn erfc(x: f64) -> f64 {
 /// Standard normal cumulative distribution function.
 pub fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Standard normal survival function `1 - Φ(x)`.
-pub fn normal_sf(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Standard normal probability density function.
-pub fn normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
 /// Natural logarithm of the gamma function (Lanczos approximation, g = 7, n = 9).
@@ -157,21 +141,6 @@ fn gamma_q_continued_fraction(a: f64, x: f64) -> Result<f64> {
     })
 }
 
-/// Cumulative distribution function of the χ² distribution with `k` degrees of freedom.
-///
-/// # Errors
-///
-/// Returns an error for `k == 0` or `x < 0`.
-pub fn chi_squared_cdf(x: f64, k: usize) -> Result<f64> {
-    if k == 0 {
-        return Err(StatsError::InvalidParameter {
-            name: "k",
-            reason: "degrees of freedom must be at least 1".to_string(),
-        });
-    }
-    gamma_p(k as f64 / 2.0, x / 2.0)
-}
-
 /// Survival function (upper tail probability) of the χ² distribution.
 ///
 /// # Errors
@@ -206,14 +175,6 @@ pub fn kolmogorov_sf(lambda: f64) -> f64 {
     (2.0 * sum).clamp(0.0, 1.0)
 }
 
-/// Natural logarithm of the binomial coefficient `C(n, k)`.
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_gamma(n as f64 + 1.0) - ln_gamma(k as f64 + 1.0) - ln_gamma((n - k) as f64 + 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +185,7 @@ mod tests {
 
     #[test]
     fn erf_reference_values() {
+        let erf = |x: f64| 1.0 - erfc(x);
         assert_close(erf(0.0), 0.0, 2e-7);
         assert_close(erf(1.0), 0.842_700_792_949_715, 2e-7);
         assert_close(erf(-1.0), -0.842_700_792_949_715, 2e-7);
@@ -236,8 +198,7 @@ mod tests {
         assert_close(normal_cdf(0.0), 0.5, 2e-7);
         assert_close(normal_cdf(1.96), 0.975_002_104_851_78, 1e-6);
         assert_close(normal_cdf(-1.96), 0.024_997_895_148_22, 1e-6);
-        assert_close(normal_sf(1.6448536269514722), 0.05, 1e-6);
-        assert_close(normal_pdf(0.0), 0.398_942_280_401_432_7, 1e-12);
+        assert_close(normal_cdf(1.6448536269514722), 0.95, 1e-6);
     }
 
     #[test]
@@ -252,14 +213,14 @@ mod tests {
 
     #[test]
     fn gamma_p_matches_chi_squared_tables() {
-        // χ² with 2 dof: CDF(x) = 1 - e^{-x/2}.
+        // The χ² CDF with k dof is P(k/2, x/2); with 2 dof it is 1 - e^{-x/2}.
         for x in [0.1, 1.0, 3.0, 10.0] {
             let expected = 1.0 - (-x / 2.0f64).exp();
-            assert_close(chi_squared_cdf(x, 2).unwrap(), expected, 1e-10);
+            assert_close(gamma_p(1.0, x / 2.0).unwrap(), expected, 1e-10);
         }
         // Standard critical values: P(χ²_1 <= 3.841) ≈ 0.95, P(χ²_5 <= 11.070) ≈ 0.95.
-        assert_close(chi_squared_cdf(3.841, 1).unwrap(), 0.95, 1e-3);
-        assert_close(chi_squared_cdf(11.070, 5).unwrap(), 0.95, 1e-3);
+        assert_close(gamma_p(0.5, 3.841 / 2.0).unwrap(), 0.95, 1e-3);
+        assert_close(gamma_p(2.5, 11.070 / 2.0).unwrap(), 0.95, 1e-3);
         assert_close(chi_squared_sf(11.070, 5).unwrap(), 0.05, 1e-3);
     }
 
@@ -279,7 +240,7 @@ mod tests {
     fn gamma_p_rejects_bad_domain() {
         assert!(gamma_p(0.0, 1.0).is_err());
         assert!(gamma_p(1.0, -1.0).is_err());
-        assert!(chi_squared_cdf(1.0, 0).is_err());
+        assert!(chi_squared_sf(1.0, 0).is_err());
     }
 
     #[test]
@@ -289,15 +250,6 @@ mod tests {
         assert_close(kolmogorov_sf(1.3581), 0.05, 2e-3);
         assert_close(kolmogorov_sf(1.2238), 0.10, 3e-3);
         assert!(kolmogorov_sf(5.0) < 1e-10);
-    }
-
-    #[test]
-    fn ln_binomial_reference_values() {
-        assert_close(ln_binomial(5, 2), (10.0f64).ln(), 1e-10);
-        assert_close(ln_binomial(10, 0), 0.0, 1e-10);
-        assert_eq!(ln_binomial(3, 5), f64::NEG_INFINITY);
-        // C(50, 25) = 126410606437752
-        assert_close(ln_binomial(50, 25), (1.264_106_064_377_52e14f64).ln(), 1e-8);
     }
 
     mod property {
@@ -320,7 +272,8 @@ mod tests {
 
             #[test]
             fn erf_is_odd(x in -5.0f64..5.0) {
-                prop_assert!((erf(x) + erf(-x)).abs() < 1e-7);
+                // erf(x) + erf(-x) = 2 - erfc(x) - erfc(-x).
+                prop_assert!((2.0 - erfc(x) - erfc(-x)).abs() < 1e-7);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Power spectral density estimation: periodogram and Welch's averaged method.
+//! Power spectral density estimation by Welch's averaged periodogram.
 //!
 //! These estimators are used to verify that generated noise and phase processes have the
 //! intended `1/f^α` spectral shape (e.g. the `Sφ(f) = b_th/f² + b_fl/f³` model of the
@@ -32,17 +32,6 @@ impl PsdEstimate {
             .zip(self.psd.iter().copied())
     }
 
-    /// Total power obtained by integrating the one-sided PSD over frequency
-    /// (rectangle rule).  For a well-scaled estimate this approximates the signal
-    /// variance.
-    pub fn integrated_power(&self) -> f64 {
-        if self.frequencies.len() < 2 {
-            return 0.0;
-        }
-        let df = self.frequencies[1] - self.frequencies[0];
-        self.psd.iter().sum::<f64>() * df
-    }
-
     /// Fits `log10(PSD) = slope·log10(f) + intercept` over the frequency band
     /// `[f_lo, f_hi]` and returns `(slope, intercept)`.
     ///
@@ -69,27 +58,6 @@ impl PsdEstimate {
         let fit = crate::fit::linear_fit(&xs, &ys)?;
         Ok((fit.slope, fit.intercept))
     }
-}
-
-/// Computes the one-sided periodogram of a real series sampled at `sample_rate` Hz.
-///
-/// The series mean is removed and the series is zero-padded to the next power of two.
-/// DC and the Nyquist bin are excluded from the returned estimate.
-///
-/// # Errors
-///
-/// Returns an error for series with fewer than 4 samples, non-finite samples, or a
-/// non-positive sample rate.
-pub fn periodogram(series: &[f64], sample_rate: f64, window: Window) -> Result<PsdEstimate> {
-    validate(series, sample_rate, 4)?;
-    let psd = segment_psd(series, sample_rate, window)?;
-    let n_fft = next_power_of_two(series.len());
-    Ok(PsdEstimate {
-        frequencies: bin_frequencies(n_fft, sample_rate),
-        psd,
-        sample_rate,
-        segments: 1,
-    })
 }
 
 /// Welch's method: averages windowed periodograms of 50 %-overlapping segments of length
@@ -196,7 +164,9 @@ mod tests {
         let series: Vec<f64> = (0..1024)
             .map(|i| (2.0 * std::f64::consts::PI * f0 * i as f64 / fs).sin())
             .collect();
-        let est = periodogram(&series, fs, Window::Rectangular).unwrap();
+        // One segment spanning the series: Welch's estimate is the plain periodogram.
+        let est = welch_psd(&series, fs, 1024, Window::Rectangular).unwrap();
+        assert_eq!(est.segments, 1);
         let (peak_f, _) = est
             .iter()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
@@ -237,7 +207,9 @@ mod tests {
         let series: Vec<f64> = (0..1 << 14).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let var = crate::descriptive::sample_variance(&series).unwrap();
         let est = welch_psd(&series, fs, 1024, Window::Hann).unwrap();
-        let power = est.integrated_power();
+        // Rectangle-rule integral of the one-sided PSD over frequency.
+        let df = est.frequencies[1] - est.frequencies[0];
+        let power = est.psd.iter().sum::<f64>() * df;
         assert!(
             (power - var).abs() / var < 0.2,
             "power {power} vs variance {var}"
@@ -255,9 +227,9 @@ mod tests {
 
     #[test]
     fn rejects_invalid_inputs() {
-        assert!(periodogram(&[1.0, 2.0], 1.0, Window::Hann).is_err());
-        assert!(periodogram(&[1.0; 16], 0.0, Window::Hann).is_err());
-        assert!(periodogram(&[f64::NAN; 16], 1.0, Window::Hann).is_err());
+        assert!(welch_psd(&[1.0, 2.0], 1.0, 4, Window::Hann).is_err());
+        assert!(welch_psd(&[1.0; 16], 0.0, 4, Window::Hann).is_err());
+        assert!(welch_psd(&[f64::NAN; 16], 1.0, 4, Window::Hann).is_err());
         assert!(welch_psd(&[1.0; 16], 1.0, 2, Window::Hann).is_err());
         assert!(welch_psd(&[1.0; 16], 1.0, 64, Window::Hann).is_err());
     }

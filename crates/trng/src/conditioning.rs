@@ -87,19 +87,9 @@ impl EntropyLedger {
         self.bias
     }
 
-    /// Expected output bits per raw source bit at this point of the pipeline.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// The transformation trail, one entry per source/stage.
     pub fn trail(&self) -> &[String] {
         &self.trail
-    }
-
-    /// Accounted min-entropy (in bits) carried by `output_bits` emitted bits.
-    pub fn accounted_bits(&self, output_bits: u64) -> f64 {
-        self.min_entropy_per_bit * output_bits as f64
     }
 
     /// The canonical machine-readable rendering of the ledger: compact JSON with the
@@ -424,7 +414,7 @@ impl ConditioningStage for Sha256Stage {
         let block_bits = self.block_bits();
         let mut rest = input;
         while !rest.is_empty() {
-            let fed_bits = self.message.len() * 8 + self.partial.len();
+            let fed_bits = self.message.len() * 8 + self.partial.pending_bits();
             let (now, later) = rest.split_at(rest.len().min(block_bits - fed_bits));
             self.partial.pack(now, &mut self.message);
             rest = later;
@@ -482,16 +472,6 @@ impl ConditioningChain {
         }
     }
 
-    /// The identity chain: output bits are the input bits.
-    pub fn identity() -> Self {
-        Self::new(Vec::new())
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Whether the chain has no stages — i.e. it is the identity.
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
@@ -524,18 +504,6 @@ impl ConditioningChain {
             self.stages.len()
         );
         self.probes = probes;
-    }
-
-    /// Human-readable chain description, e.g. `xor:4 → sha256:2` (or `identity`).
-    pub fn label(&self) -> String {
-        if self.stages.is_empty() {
-            return "identity".to_string();
-        }
-        self.stages
-            .iter()
-            .map(|s| s.label())
-            .collect::<Vec<_>>()
-            .join(" → ")
     }
 
     /// Streams `input` through every stage, **appending** the conditioned bits to
@@ -601,7 +569,7 @@ fn run_stage(
 impl std::fmt::Debug for ConditioningChain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConditioningChain")
-            .field("stages", &self.label())
+            .field("stages", &self.stage_labels())
             .finish()
     }
 }
@@ -623,11 +591,10 @@ mod tests {
         let ledger = EntropyLedger::source("test", 0.9).unwrap();
         assert_eq!(ledger.min_entropy_per_bit(), 0.9);
         assert!((ledger.bias() - (2.0f64.powf(-0.9) - 0.5)).abs() < 1e-15);
-        assert_eq!(ledger.rate(), 1.0);
+        assert_eq!(ledger.rate, 1.0);
         assert_eq!(ledger.trail().len(), 1);
         assert!(EntropyLedger::source("bad", 0.0).is_err());
         assert!(EntropyLedger::source("bad", 1.5).is_err());
-        assert!((ledger.accounted_bits(1000) - 900.0).abs() < 1e-9);
         assert!(ledger.to_string().contains("source test"));
     }
 
@@ -676,7 +643,7 @@ mod tests {
         assert!((mix.bias() - expected).abs() < 1e-15);
         // The mix is never worse than the best child.
         assert!(mix.min_entropy_per_bit() >= c.min_entropy_per_bit());
-        assert!((mix.rate() - 1.0 / 3.0).abs() < 1e-15);
+        assert!((mix.rate - 1.0 / 3.0).abs() < 1e-15);
         // Trail: one entry per child plus the mix line.
         assert_eq!(mix.trail().len(), 4);
         assert!(mix.trail()[3].contains("xor-mix pool"));
@@ -731,7 +698,7 @@ mod tests {
             .unwrap()
             .process(&[9], &mut out)
             .is_err());
-        assert!(ConditioningChain::identity()
+        assert!(ConditioningChain::new(Vec::new())
             .process(&[7], &mut out)
             .is_err());
     }
@@ -750,7 +717,8 @@ mod tests {
         assert!(out.iter().all(|&b| b <= 1));
 
         // First block must equal the one-shot digest of the packed first 512 bits.
-        let packed = ptrng_ais::bits::pack_bits(&bits[..512]).unwrap();
+        let mut packed = Vec::new();
+        assert!(ptrng_ais::bits::pack_into(&bits[..512], &mut packed).is_empty());
         let digest = Sha256::digest(&packed);
         let expected: Vec<u8> = digest
             .iter()
@@ -780,7 +748,7 @@ mod tests {
         let expected = xor_output_bias(ledger.bias(), 4).unwrap();
         assert!((out.bias() - expected).abs() < 1e-15);
         assert!(out.min_entropy_per_bit() > ledger.min_entropy_per_bit());
-        assert!((out.rate() - 0.25).abs() < 1e-15);
+        assert!((out.rate - 0.25).abs() < 1e-15);
         assert_eq!(out.trail().len(), 2);
     }
 
@@ -793,7 +761,7 @@ mod tests {
         let out = VonNeumannStage::new().transform(&strong).unwrap();
         assert_eq!(out.min_entropy_per_bit(), 1.0);
         assert_eq!(out.bias(), 0.0);
-        assert!((out.rate() - (0.25 - eps * eps)).abs() < 1e-15);
+        assert!((out.rate - (0.25 - eps * eps)).abs() < 1e-15);
 
         // Degraded input: the credit is capped by the consumed pair budget, so `vn`
         // cannot launder an entropy deficit past an emission policy.
@@ -809,7 +777,7 @@ mod tests {
         let strong = EntropyLedger::source("strong", 0.9996).unwrap();
         let out = Sha256Stage::new(2).unwrap().transform(&strong).unwrap();
         assert!(out.min_entropy_per_bit() > 0.999, "{}", out);
-        assert!((out.rate() - 0.5).abs() < 1e-15);
+        assert!((out.rate - 0.5).abs() < 1e-15);
 
         // Degraded input: the conditioner cannot create entropy.
         let weak = EntropyLedger::source("weak", 0.074).unwrap();
@@ -829,9 +797,8 @@ mod tests {
             Box::new(XorDecimateStage::new(2).unwrap()),
             Box::new(Sha256Stage::new(2).unwrap()),
         ]);
-        assert_eq!(chain.len(), 2);
         assert!(!chain.is_identity());
-        assert_eq!(chain.label(), "xor:2 → sha256:2");
+        assert_eq!(chain.stage_labels(), vec!["xor:2", "sha256:2"]);
         let mut out = Vec::new();
         for chunk in bits.chunks(1000) {
             chain.process(chunk, &mut out).unwrap();
@@ -841,7 +808,7 @@ mod tests {
         let ledger = chain
             .transform(&EntropyLedger::source("model", 0.415).unwrap())
             .unwrap();
-        assert!((ledger.rate() - 0.25).abs() < 1e-12);
+        assert!((ledger.rate - 0.25).abs() < 1e-12);
         assert_eq!(ledger.trail().len(), 3);
 
         // Equivalence with running the stages by hand.
@@ -893,10 +860,9 @@ mod tests {
     #[test]
     fn identity_chain_is_a_pass_through() {
         let bits = biased_bits(1000, 0.5, 6);
-        let mut chain = ConditioningChain::identity();
+        let mut chain = ConditioningChain::new(Vec::new());
         assert!(chain.is_identity());
-        assert_eq!(chain.len(), 0);
-        assert_eq!(chain.label(), "identity");
+        assert!(chain.stage_labels().is_empty());
         let mut out = Vec::new();
         chain.process(&bits, &mut out).unwrap();
         assert_eq!(out, bits);
@@ -1023,7 +989,7 @@ mod tests {
                 .unwrap();
                 let closed_form = xor_output_bias(source.bias(), k1 * k2).unwrap();
                 prop_assert!((chained.bias() - closed_form).abs() < 1e-12 * closed_form.max(1.0));
-                prop_assert!((chained.rate() - 1.0 / (k1 * k2) as f64).abs() < 1e-15);
+                prop_assert!((chained.rate - 1.0 / (k1 * k2) as f64).abs() < 1e-15);
                 // Entropy accounting stays a probability and never decreases under XOR.
                 prop_assert!(chained.min_entropy_per_bit() >= h - 1e-12);
                 prop_assert!(chained.min_entropy_per_bit() <= 1.0);

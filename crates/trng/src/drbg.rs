@@ -158,18 +158,6 @@ impl HashDrbg {
         Ok(drbg)
     }
 
-    /// Lowers the reseed interval below the spec maximum (builder-style).
-    pub fn with_reseed_interval(mut self, interval: u64) -> Result<Self, DrbgError> {
-        if interval == 0 || interval > MAX_RESEED_INTERVAL {
-            return Err(DrbgError::InvalidParameter {
-                name: "reseed_interval",
-                reason: format!("must be in 1..=2^48, got {interval}"),
-            });
-        }
-        self.reseed_interval = interval;
-        Ok(self)
-    }
-
     /// §10.1.1.3 `Reseed`: folds fresh entropy (and optional additional input)
     /// into the state and resets the reseed counter.
     pub fn reseed(&mut self, entropy_input: &[u8], additional: &[u8]) -> Result<(), DrbgError> {
@@ -235,16 +223,6 @@ impl HashDrbg {
         add_into(&mut self.v, &self.reseed_counter.to_be_bytes());
         self.reseed_counter += 1;
         Ok(job)
-    }
-
-    /// Generate calls since the last (re)seed, plus one (§10.1.1 state).
-    pub fn reseed_counter(&self) -> u64 {
-        self.reseed_counter
-    }
-
-    /// Configured reseed interval.
-    pub fn reseed_interval(&self) -> u64 {
-        self.reseed_interval
     }
 
     /// §10.1.1 `Uninstantiate`: consumes the generator and zeroizes `V`/`C`.
@@ -447,9 +425,9 @@ mod tests {
         let mut sink = [0u8; 32];
         reseeded.generate(&mut sink, &[]).expect("generate");
         straight.generate(&mut sink, &[]).expect("generate");
-        assert_eq!(reseeded.reseed_counter(), 2);
+        assert_eq!(reseeded.reseed_counter, 2);
         reseeded.reseed(&[0x33; 32], &[]).expect("reseed");
-        assert_eq!(reseeded.reseed_counter(), 1);
+        assert_eq!(reseeded.reseed_counter, 1);
         let mut out_reseeded = [0u8; 32];
         let mut out_straight = [0u8; 32];
         reseeded.generate(&mut out_reseeded, &[]).expect("generate");
@@ -459,7 +437,8 @@ mod tests {
 
     #[test]
     fn reseed_interval_is_enforced() {
-        let mut d = drbg().with_reseed_interval(2).expect("valid interval");
+        let mut d = drbg();
+        d.reseed_interval = 2;
         let mut out = [0u8; 16];
         d.generate(&mut out, &[]).expect("first");
         d.generate(&mut out, &[]).expect("second");
@@ -505,10 +484,6 @@ mod tests {
         ));
         let mut d = drbg();
         assert!(d.reseed(&[0; 31], &[]).is_err());
-        assert!(drbg().with_reseed_interval(0).is_err());
-        assert!(drbg()
-            .with_reseed_interval(MAX_RESEED_INTERVAL + 1)
-            .is_err());
     }
 
     #[test]
@@ -550,7 +525,8 @@ mod tests {
 
     #[test]
     fn reserve_refuses_like_generate_and_leaves_the_state() {
-        let mut d = drbg().with_reseed_interval(1).expect("valid interval");
+        let mut d = drbg();
+        d.reseed_interval = 1;
         assert!(matches!(
             d.reserve(MAX_REQUEST_BYTES + 1, &[]),
             Err(DrbgError::RequestTooLarge { .. })

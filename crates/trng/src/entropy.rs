@@ -71,29 +71,6 @@ pub fn block_entropy(bits: &[u8], block_bits: usize) -> Result<f64> {
     Ok(h / block_bits as f64)
 }
 
-/// Min-entropy per bit estimated from the most frequent `block_bits`-bit block.
-///
-/// # Errors
-///
-/// Same conditions as [`block_entropy`].
-pub fn min_entropy(bits: &[u8], block_bits: usize) -> Result<f64> {
-    if block_bits == 0 || block_bits > 16 {
-        return Err(TrngError::InvalidParameter {
-            name: "block_bits",
-            reason: format!("block width must be in 1..=16, got {block_bits}"),
-        });
-    }
-    ensure_bit_len(bits, block_bits * 8)?;
-    let blocks = blocks_as_integers(bits, block_bits)?;
-    let mut counts = vec![0u64; 1 << block_bits];
-    for b in &blocks {
-        counts[*b as usize] += 1;
-    }
-    let max = *counts.iter().max().expect("count vector is non-empty") as f64;
-    let p_max = max / blocks.len() as f64;
-    Ok(-p_max.log2() / block_bits as f64)
-}
-
 /// Entropy rate of the first-order Markov chain fitted to the sequence:
 /// `H = Σ_s π(s)·h(p(1|s))`.
 ///
@@ -154,9 +131,6 @@ mod tests {
         let bits = random_bits(200_000, 51);
         assert!(shannon_entropy_from_bias(&bits).unwrap() > 0.9999);
         assert!(block_entropy(&bits, 8).unwrap() > 0.995);
-        // The min-entropy estimator is biased low on finite samples (the maximum count
-        // overshoots its expectation); 0.93 is the practical floor for 25 000 blocks.
-        assert!(min_entropy(&bits, 8).unwrap() > 0.93);
         assert!(markov_entropy_rate(&bits).unwrap() > 0.9999);
     }
 
@@ -166,7 +140,6 @@ mod tests {
         let bits: Vec<u8> = (0..200_000).map(|_| u8::from(rng.gen_bool(0.75))).collect();
         let h = shannon_entropy_from_bias(&bits).unwrap();
         assert!((h - 0.8113).abs() < 0.01, "h = {h}");
-        assert!(min_entropy(&bits, 8).unwrap() < h);
     }
 
     #[test]
@@ -196,22 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn min_entropy_is_a_lower_bound_on_shannon_block_entropy() {
-        for seed in 54..58 {
-            let bits = random_bits(50_000, seed);
-            let h_min = min_entropy(&bits, 4).unwrap();
-            let h_block = block_entropy(&bits, 4).unwrap();
-            assert!(h_min <= h_block + 1e-9);
-        }
-    }
-
-    #[test]
     fn error_paths() {
         assert!(shannon_entropy_from_bias(&[]).is_err());
         assert!(block_entropy(&random_bits(100, 1), 0).is_err());
         assert!(block_entropy(&random_bits(100, 1), 17).is_err());
         assert!(block_entropy(&random_bits(10, 1), 8).is_err());
-        assert!(min_entropy(&random_bits(10, 1), 8).is_err());
         assert!(markov_entropy_rate(&[1; 100]).is_err());
         assert!(markov_entropy_rate(&[0, 1, 2]).is_err());
     }

@@ -80,11 +80,6 @@ impl OnlineThermalTest {
         Self { config }
     }
 
-    /// The configuration of the test.
-    pub fn config(&self) -> &OnlineTestConfig {
-        &self.config
-    }
-
     /// Evaluates the test from `(N, σ²_N)` points (e.g. produced by an on-chip counter
     /// sweep).
     ///

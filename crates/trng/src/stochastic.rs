@@ -42,11 +42,6 @@ impl EntropyModel {
         Self::new(PhaseNoiseModel::date14_experiment())
     }
 
-    /// The relative phase-noise model.
-    pub fn relative(&self) -> &PhaseNoiseModel {
-        &self.relative
-    }
-
     /// Accumulated relative-jitter variance over `n` periods as a *naive* experimenter
     /// would infer it from a `σ²_N` measurement under the independence assumption
     /// (`σ²_N/2`, including the flicker contribution).

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "statistical battery     : {}/{} tests passed {}",
         battery.results.iter().filter(|r| r.passed).count(),
-        battery.len(),
+        battery.results.len(),
         if battery.all_passed() {
             "(all good)"
         } else {

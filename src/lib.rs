@@ -7,7 +7,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`noise`] | transistor-level thermal/flicker noise models, `1/f^α` generators |
-//! | [`stats`] | `σ²_N` statistic, Allan variances, spectral estimation, fitting, tests |
+//! | [`stats`] | `σ²_N` statistic, overlapping Allan variance, Welch spectral estimation, fitting, Kolmogorov–Smirnov and Ljung–Box tests |
 //! | [`osc`] | ring oscillators, ISF conversion, phase-noise model, jitter generation |
 //! | [`measure`] | the differential counter measurement circuit and acquisition campaigns |
 //! | [`trng`] | the eRO-TRNG, conditioning pipeline + entropy ledger, SHA-256, entropy bounds, online test |
